@@ -13,10 +13,9 @@ import scala.collection.mutable
   *   NCA = (a)+(c), NCA-DR = (a)+(d), FPA-DMG = (b)+(c)+prune,
   *   FPA = (b)+(d)+prune, FPA-noprune = (b)+(d).
   *
-  * The engine can traverse a *pruned* subgraph while still scoring DM against
-  * the full graph: `globalDeg` and `mEGlobal` supply the full-graph degree
-  * and edge count (used by the Spark pipeline, which collects only the
-  * distance-prefix subgraph).
+  * `run` prepares the query side (same-component check, protected paths,
+  * distances) and hands it to `peel`, which the Spark pipeline also calls on
+  * the distance prefix it collects, scoring DM against the full graph.
   */
 object Peeler {
 
@@ -44,45 +43,98 @@ object Peeler {
   }
 
   def run(g: LocalGraph, queries: Seq[Int], rule: RemovableRule, goodness: Goodness,
-          layerPrune: Boolean, objective: Objective = DmObjective,
-          globalDeg: Int => Int = null, mEGlobal: Long = -1L): Result = {
+          layerPrune: Boolean, objective: Objective = DmObjective): Result = {
     val t0 = System.nanoTime()
     def elapsedMs: Long = (System.nanoTime() - t0) / 1000000L
     require(queries.nonEmpty, "need at least one query node")
     queries.foreach(q => require(q >= 0 && q < g.n, s"query $q out of range [0,${g.n})"))
-    val deg: Int => Int = if (globalDeg == null) g.degree(_) else globalDeg
-    val mE: Long = if (mEGlobal >= 0) mEGlobal else g.m
 
-    val q0 = queries.head
-    val comp = g.componentOf(q0)
-    if (!queries.forall(comp))
-      return Result(queries.toSet, Double.NaN, 0, elapsedMs, ok = false,
-        "query nodes are not in the same connected component")
-
-    // protected nodes: the queries, plus (FPA, |Q|>1) the Steiner-ish union
-    // of shortest paths linking them so farthest-layer removal never
-    // disconnects the remainder (Section 5.6).
-    val prot = mutable.BitSet.empty
-    queries.foreach(prot += _)
-    if (rule == FarthestLayer && queries.length > 1) {
-      val parents = g.bfsParents(q0, comp)
-      for (q <- queries) {
-        // start from parents(q): q itself is already protected, and a stop at
-        // any protected node is safe (its own chain to q0 is/will be walked)
-        var v = parents(q)
-        while (v != -1 && !prot.contains(v)) { prot += v; v = parents(v) }
-      }
+    // protected nodes: the queries, plus (FPA, |Q|>1) the BFS-tree paths
+    // linking them to q0; the same BFS tells whether Q shares a component
+    val prot = mutable.BitSet.empty ++= queries
+    if (queries.length > 1) {
+      val parents = g.bfsParents(queries.head)
+      if (queries.exists(q => q != queries.head && parents(q) == -1))
+        return Result(queries.toSet, Double.NaN, 0, elapsedMs, ok = false,
+          "query nodes are not in the same connected component")
+      if (rule == FarthestLayer)
+        protectPaths(queries.map(_.toLong), v => parents(v.toInt)).foreach(v => prot += v.toInt)
     }
-    val dist = g.bfsDist(prot, comp)
+    val dist = g.bfsDist(prot) // reaches exactly the queried component
 
+    val prefix = if (rule != FarthestLayer || !layerPrune) -1 else {
+      // Section 5.7, per layer: its nodes, their global degrees, and the
+      // edges whose farther endpoint lies in it
+      val layers = dist.max + 1
+      val (nNodes, sumDeg, nEdges) =
+        (new Array[Long](layers), new Array[Long](layers), new Array[Long](layers))
+      var u = 0
+      while (u < g.n) {
+        val d = dist(u)
+        if (d >= 0) {
+          nNodes(d) += 1; sumDeg(d) += g.degree(u)
+          val a = g.adj(u); var i = 0
+          while (i < a.length) { if (a(i) > u) nEdges(math.max(d, dist(a(i)))) += 1; i += 1 }
+        }
+        u += 1
+      }
+      bestPrefix(nNodes, sumDeg, nEdges, g.m, objective)
+    }
+
+    peel(g, g.degree, g.m, prot, dist, rule, goodness, objective, prefix)
+      .copy(millis = elapsedMs)
+  }
+
+  /** Section 5.6: the queries plus every node on the BFS-tree path from each
+    * query up to the root, so that removing farthest layers never
+    * disconnects Q. `parent` is -1 at the root.
+    */
+  private[core] def protectPaths(queries: Seq[Long], parent: Long => Long): mutable.Set[Long] = {
+    val prot = mutable.Set.empty[Long] ++= queries
+    for (q <- queries) {
+      // a walk may stop at any protected node: its own path is walked too
+      var v = parent(q)
+      while (v != -1L && !prot(v)) { prot += v; v = parent(v) }
+    }
+    prot
+  }
+
+  /** Section 5.7: the first distance layer t whose prefix (layers 0..t)
+    * scores best, from per-layer node counts, degree sums and edge counts.
+    */
+  private[core] def bestPrefix(nNodes: Array[Long], sumDeg: Array[Long], nEdges: Array[Long],
+                               mE: Long, objective: Objective): Int = {
+    var cl = 0L; var cd = 0L; var cn = 0L
+    var bestT = 0; var best = Double.NegativeInfinity
+    var t = 0
+    while (t < nNodes.length) {
+      cl += nEdges(t); cd += sumDeg(t); cn += nNodes(t)
+      val sc = objective(cl, cd, cn, mE)
+      if (sc > best) { best = sc; bestT = t }
+      t += 1
+    }
+    bestT
+  }
+
+  /** Algorithm 1 on S = every node `dist` reaches (>= 0), which must be a
+    * whole component of `g`, so that k_{v,S} starts as the degree in `g`.
+    * DM is scored with the global degrees `deg` and edge count `mE`. With
+    * the farthest-layer rule, `prefix` >= 0 jumps to the distance prefix
+    * 0..prefix and peels only its outermost layer; -1 peels every layer.
+    */
+  private[core] def peel(g: LocalGraph, deg: Array[Int], mE: Long, prot: mutable.BitSet,
+                         dist: Array[Int], rule: RemovableRule, goodness: Goodness,
+                         objective: Objective, prefix: Int): Result = {
     // incremental state: S, k_{v,S}, l_S, d_S, |S|
-    val s = comp.clone()
-    val kv = new Array[Int](g.n)
-    var lS = 0L
-    s.foreach { v => kv(v) = g.degreeWithin(v, s); lS += kv(v) }
+    val s = mutable.BitSet.empty
+    val kv = g.degree.clone()
+    var lS = 0L; var dS = 0L
+    var v = 0
+    while (v < g.n) {
+      if (dist(v) >= 0) { s += v; lS += kv(v); dS += deg(v) }
+      v += 1
+    }
     lS /= 2
-    var dS = 0L
-    s.foreach(dS += deg(_))
     var size = s.size.toLong
 
     val removed = mutable.ArrayBuffer.empty[Int]
@@ -167,43 +219,20 @@ object Peeler {
           }
         }
 
-        if (layerPrune && maxDist > 0) {
-          // Section 5.7: score every distance-prefix subgraph, jump to the
-          // best one, then peel only its outermost layer.
-          val nNodes = new Array[Long](maxDist + 1)
-          val sumDeg = new Array[Long](maxDist + 1)
-          val edgesAt = new Array[Long](maxDist + 1)
-          s.foreach { v => nNodes(dist(v)) += 1; sumDeg(dist(v)) += deg(v) }
-          s.foreach { u =>
-            val a = g.adj(u); var i = 0
-            while (i < a.length) {
-              val w = a(i)
-              if (w > u && s(w)) edgesAt(math.max(dist(u), dist(w))) += 1
-              i += 1
-            }
-          }
-          var cl = 0L; var cd = 0L; var cn = 0L
-          var bestT = 0; var bestPrefix = Double.NegativeInfinity
-          var t = 0
-          while (t <= maxDist) {
-            cl += edgesAt(t); cd += sumDeg(t); cn += nNodes(t)
-            val sc = objective(cl, cd, cn, mE)
-            if (sc > bestPrefix) { bestPrefix = sc; bestT = t }
-            t += 1
-          }
-          t = maxDist
-          while (t > bestT) { layers(t).foreach(removeNode); t -= 1 }
+        if (prefix >= 0) {
+          var t = maxDist
+          while (t > prefix) { layers(t).foreach(removeNode); t -= 1 }
           consider() // the chosen prefix subgraph is a candidate solution
-          if (bestT > 0) peelLayer(bestT)
+          if (prefix > 0) peelLayer(prefix)
         } else {
           var dlev = maxDist
           while (dlev >= 1) { peelLayer(dlev); dlev -= 1 }
         }
     }
 
-    val community = comp.clone()
-    removed.take(bestCount).foreach(community -= _)
-    Result(community.toSet, bestScore, bestCount, elapsedMs, ok = true)
+    // the best S is the final S plus everything removed after it
+    removed.drop(bestCount).foreach(s += _)
+    Result(s.toSet, bestScore, bestCount, 0L, ok = true)
   }
 
   // ------------------------------------------------------------- presets

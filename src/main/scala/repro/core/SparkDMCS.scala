@@ -7,17 +7,20 @@ import scala.collection.mutable
 
 /** Distributed FPA (the `distributed_dataflow` reproduction target).
   *
-  * Stage 1 (Spark/Catalyst): multi-source BFS from the query nodes over the
-  * edge DataFrame; per-layer node/edge aggregates; density-modularity score
-  * of every distance-prefix subgraph (Section 5.7's layer pruning) — all as
-  * DataFrame dataflow, so it scales to graphs that do not fit one machine.
+  * Stage 1 (Spark/Catalyst): for |Q|>1 a BFS from q0 whose parent column
+  * gives the protected paths linking Q; then a multi-source BFS from the
+  * protected set over the edge DataFrame; per-layer node/edge aggregates
+  * whose distance prefixes are scored by `Peeler.bestPrefix` (Section 5.7's
+  * layer pruning) — the graph-sized work is DataFrame dataflow, so it scales
+  * to graphs that do not fit one machine.
   *
   * Stage 2 (driver): the chosen prefix subgraph — a tiny fraction of the
-  * graph after pruning — is collected and the outermost layer is peeled with
-  * the density ratio, exactly as local FPA does. DM is still scored against
-  * the *full* graph's |E| and degrees.
+  * graph after pruning — is collected with its distances and handed to
+  * `Peeler.peel`, which peels its outermost layer exactly as local FPA does.
+  * DM is still scored against the *full* graph's |E| and degrees.
   *
-  * A test asserts this returns exactly the same community as `Peeler.fpa`.
+  * Tests assert this returns exactly the community of `Peeler.fpa`, for
+  * every |Q|.
   */
 object SparkDMCS {
 
@@ -34,37 +37,22 @@ object SparkDMCS {
     val mE = e.count()
     val degs = GraphFrames.degrees(e).cache()
 
-    // --- multi-query: protect the union of shortest paths linking Q -------
-    // For |Q|>1 the protected set is computed with a BFS-parent walk like the
-    // local engine; distances are then taken from the protected set.
-    val protSources: Seq[Long] =
+    // --- multi-query: protect the BFS-tree paths linking Q (Section 5.6) ---
+    val prot: Seq[Long] =
       if (queries.length == 1) queries
       else {
-        // Cheap driver-side Steiner union: BFS tree from q0 in Spark, then
-        // walk parents. We get parents by re-running BFS keeping a parent col.
-        bfsParents(spark, e, queries.head) match {
-          case None => return Result(queries.toSet, Double.NaN, -1, -1, elapsedMs, ok = false,
-            "query component unreachable")
-          case Some(parents) =>
-            val prot = mutable.HashSet.empty[Long]
-            for (q <- queries) {
-              if (!parents.contains(q) && q != queries.head)
-                return Result(queries.toSet, Double.NaN, -1, -1, elapsedMs, ok = false,
-                  "query nodes are not in the same connected component")
-              var v = q
-              while (v != -1L && !prot.contains(v)) { prot += v; v = parents.getOrElse(v, -1L) }
-            }
-            prot.toSeq.sorted
+        val parents = GraphFrames.bfsDist(spark, e, Seq(queries.head)).collect()
+          .map(r => r.getAs[Long]("node") -> r.getAs[Long]("parent")).toMap
+        if (!queries.forall(parents.contains)) {
+          e.unpersist(); degs.unpersist()
+          return Result(queries.toSet, Double.NaN, -1, -1, elapsedMs, ok = false,
+            "query nodes are not in the same connected component")
         }
+        Peeler.protectPaths(queries, parents).toSeq
       }
+    val dist = GraphFrames.bfsDist(spark, e, prot).cache()
 
-    val dist = GraphFrames.bfsDist(spark, e, protSources).cache()
-    val distOfQueries = dist.filter(col("node").isin(queries: _*)).count()
-    if (distOfQueries != queries.distinct.length)
-      return Result(queries.toSet, Double.NaN, -1, -1, elapsedMs, ok = false,
-        "query nodes are not in the same connected component")
-
-    // --- layer aggregates + prefix DM (pure dataflow) ---------------------
+    // --- layer aggregates (pure dataflow) + prefix choice ------------------
     val nodeStats = GraphFrames.nodeLayerStats(dist, degs)
     val edgeStats = GraphFrames.edgeLayerStats(e, dist)
     val layerRows = nodeStats.join(edgeStats, Seq("dist"), "left_outer")
@@ -72,24 +60,28 @@ object SparkDMCS {
         coalesce(col("nEdges"), lit(0L)).as("nEdges"))
       .orderBy(col("dist"))
       .collect()
-
     val maxLayer = layerRows.map(_.getAs[Int]("dist")).maxOption.getOrElse(0)
-    var cl = 0L; var cd = 0L; var cn = 0L
-    var bestT = 0; var bestPrefix = Double.NegativeInfinity
-    for (r <- layerRows) {
-      cl += r.getAs[Long]("nEdges"); cd += r.getAs[Long]("sumDeg"); cn += r.getAs[Long]("nNodes")
-      val sc = Modularity.dm(cl, cd, cn, mE)
-      if (sc > bestPrefix) { bestPrefix = sc; bestT = r.getAs[Int]("dist") }
+    def perLayer(c: String): Array[Long] = {
+      val a = new Array[Long](maxLayer + 1)
+      layerRows.foreach(r => a(r.getAs[Int]("dist")) = r.getAs[Long](c))
+      a
     }
+    val bestT = Peeler.bestPrefix(perLayer("nNodes"), perLayer("sumDeg"), perLayer("nEdges"),
+      mE, Peeler.DmObjective)
 
-    // --- collect the pruned prefix subgraph and peel locally --------------
+    // --- collect the pruned prefix subgraph and peel its outer layer ------
     val keep = dist.filter(col("dist") <= bestT).cache()
     val nodeRows = keep.join(degs, Seq("node"))
       .select(col("node"), col("dist"), col("deg")).collect()
     val ids = nodeRows.map(_.getAs[Long]("node")).sorted
     val idOf = ids.zipWithIndex.toMap
     val degOf = new Array[Int](ids.length)
-    nodeRows.foreach(r => degOf(idOf(r.getAs[Long]("node"))) = r.getAs[Long]("deg").toInt)
+    val distOf = new Array[Int](ids.length)
+    nodeRows.foreach { r =>
+      val i = idOf(r.getAs[Long]("node"))
+      degOf(i) = r.getAs[Long]("deg").toInt
+      distOf(i) = r.getAs[Int]("dist")
+    }
 
     val ks = keep.select(col("node").as("src"))
     val kd = keep.select(col("node").as("dst"))
@@ -98,34 +90,10 @@ object SparkDMCS {
       .map(r => (idOf(r.getAs[Long]("src")), idOf(r.getAs[Long]("dst"))))
 
     val sub = LocalGraph.fromEdges(ids.length, subEdges.toSeq)
-    val localQueries = protSources.map(idOf)
-    val res = Peeler.run(sub, localQueries, Peeler.FarthestLayer, Peeler.DensityRatio,
-      layerPrune = true, globalDeg = degOf(_), mEGlobal = mE)
+    val res = Peeler.peel(sub, degOf, mE, mutable.BitSet.empty ++= prot.map(idOf), distOf,
+      Peeler.FarthestLayer, Peeler.DensityRatio, Peeler.DmObjective, prefix = bestT)
 
     e.unpersist(); degs.unpersist(); dist.unpersist(); keep.unpersist()
-    Result(res.community.map(i => ids(i)), res.score, bestT, maxLayer, elapsedMs, ok = res.ok, res.note)
-  }
-
-  /** BFS parent map from a single source; None if source absent from graph. */
-  private def bfsParents(spark: SparkSession, edges: DataFrame, source: Long): Option[Map[Long, Long]] = {
-    import spark.implicits._
-    val sym = GraphFrames.symmetrize(edges).cache()
-    var visited = spark.createDataset(Seq((source, -1L))).toDF("node", "parent").cache()
-    var frontier = visited
-    var done = false
-    var iter = 0
-    while (!done && iter < 128) {
-      iter += 1
-      val next = sym.join(frontier, sym("src") === frontier("node"))
-        .select(sym("dst").as("node"), sym("src").as("parent"))
-        .groupBy(col("node")).agg(min(col("parent")).as("parent"))
-        .join(visited, Seq("node"), "left_anti")
-        .localCheckpoint()
-      if (next.isEmpty) done = true
-      else { visited = visited.union(next).localCheckpoint(); frontier = next }
-    }
-    sym.unpersist()
-    val map = visited.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    Some(map)
+    Result(res.community.map(i => ids(i)), res.score, bestT, maxLayer, elapsedMs, ok = true)
   }
 }

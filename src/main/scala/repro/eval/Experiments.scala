@@ -44,6 +44,13 @@ object Experiments {
   }
 
   // ----------------------------------------------------------- evaluation
+  /** `body`'s value and its wall time in milliseconds. */
+  def timed[A](body: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = body
+    (a, (System.nanoTime() - t0) / 1e6)
+  }
+
   final case class EvalRow(algo: String, medNmi: Double, medAri: Double, medF1: Double,
                            meanMs: Double, meanSize: Double, fails: Int)
 
@@ -62,9 +69,8 @@ object Experiments {
       val sizes = mutable.ArrayBuffer.empty[Double]
       var fails = 0
       for ((q, ownComm) <- querySets) {
-        val t0 = System.nanoTime()
-        val res = try algo.run(ctx, q) catch { case _: StackOverflowError => None }
-        times += (System.nanoTime() - t0) / 1e6
+        val (res, took) = timed(try algo.run(ctx, q) catch { case _: StackOverflowError => None })
+        times += took
         res match {
           case Some(c) if c.nonEmpty =>
             val cands = {
@@ -200,9 +206,7 @@ object Experiments {
       val gt = GraphGen.lfr(n, 20.0, 200, 0.4, 20, 1000, seed)
       val ctx = new GraphCtx(gt.graph)
       val qs = QueryGen.querySets(gt, ctx, nSets = 2, qSize = 1, seed = seed + n)
-      def time(body: => Any): Double = {
-        val t0 = System.nanoTime(); body; (System.nanoTime() - t0) / 1e6
-      }
+      def time(body: => Any): Double = timed(body)._2
       ctx.core // warm the decomposition shared by kc/highcore
       val tKc = Metrics.mean(qs.map { case (q, _) => time(CoreTruss.kc(ctx, q, 3)) })
       val tHc = Metrics.mean(qs.map { case (q, _) => time(CoreTruss.highcore(ctx, q)) })

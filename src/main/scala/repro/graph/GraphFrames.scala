@@ -26,29 +26,30 @@ object GraphFrames {
   def degrees(edges: DataFrame): DataFrame =
     symmetrize(edges).groupBy(col("src").as("node")).agg(count(lit(1)).as("deg"))
 
-  /** Multi-source unweighted BFS. Returns (node, dist) for *reached* nodes
-    * only — i.e. the connected component(s) of the sources.
+  /** Multi-source unweighted BFS. Returns (node, dist, parent) for *reached*
+    * nodes only — i.e. the connected component(s) of the sources. The parent
+    * is the smallest-id neighbour one layer closer (the rule of
+    * `LocalGraph.bfsParents`); it is -1 for a source.
     *
-    * Implemented as iterative frontier expansion with DataFrame joins;
-    * `localCheckpoint` truncates lineage each round (diameters are small for
-    * social networks, per the paper's Fig 4 observation).
+    * Implemented as iterative frontier expansion with DataFrame joins until
+    * the frontier is empty; `localCheckpoint` truncates lineage each round
+    * (diameters are small for social networks, per the paper's Fig 4
+    * observation).
     */
-  def bfsDist(spark: SparkSession, edges: DataFrame, sources: Seq[Long],
-              maxIter: Int = 64): DataFrame = {
+  def bfsDist(spark: SparkSession, edges: DataFrame, sources: Seq[Long]): DataFrame = {
     import spark.implicits._
     val sym = symmetrize(edges).cache()
-    var visited = spark.createDataset(sources.distinct.map(s => (s, 0)))
-      .toDF("node", "dist").cache()
+    var visited = spark.createDataset(sources.distinct.map(s => (s, 0, -1L)))
+      .toDF("node", "dist", "parent").cache()
     var frontier = visited
     var d = 0
     var done = false
-    while (!done && d < maxIter) {
+    while (!done) {
       d += 1
       val next = sym.join(frontier, sym("src") === frontier("node"))
-        .select(sym("dst").as("node"))
-        .distinct()
+        .groupBy(sym("dst").as("node")).agg(min(sym("src")).as("parent"))
         .join(visited, Seq("node"), "left_anti")
-        .withColumn("dist", lit(d))
+        .select(col("node"), lit(d).as("dist"), col("parent"))
         .localCheckpoint()
       if (next.isEmpty) done = true
       else {
@@ -74,8 +75,8 @@ object GraphFrames {
     * Columns: (dist, nEdges).
     */
   def edgeLayerStats(edges: DataFrame, dist: DataFrame): DataFrame = {
-    val ds = dist.withColumnRenamed("node", "src").withColumnRenamed("dist", "distSrc")
-    val dd = dist.withColumnRenamed("node", "dst").withColumnRenamed("dist", "distDst")
+    val ds = dist.select(col("node").as("src"), col("dist").as("distSrc"))
+    val dd = dist.select(col("node").as("dst"), col("dist").as("distDst"))
     edges.join(ds, Seq("src")).join(dd, Seq("dst"))
       .select(greatest(col("distSrc"), col("distDst")).as("dist"))
       .groupBy(col("dist"))

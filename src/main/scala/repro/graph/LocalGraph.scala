@@ -68,18 +68,22 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
     dist
   }
 
-  /** BFS parents from a single source (restricted); -1 = none/unreached. */
+  /** BFS parents from a single source (restricted); -1 = none/unreached.
+    * The parent of v is its smallest-id neighbour one layer closer to the
+    * source, the same rule as `GraphFrames.bfsDist`.
+    */
   def bfsParents(source: Int, inS: Int => Boolean = _ => true): Array[Int] = {
     val parent = Array.fill(n)(-1)
-    val seen = new Array[Boolean](n)
+    val dist = Array.fill(n)(-1)
     val queue = new java.util.ArrayDeque[Integer]()
-    seen(source) = true; queue.add(source)
+    dist(source) = 0; queue.add(source)
     while (!queue.isEmpty) {
       val u = queue.poll().intValue()
       val a = adj(u); var i = 0
       while (i < a.length) {
         val v = a(i)
-        if (!seen(v) && inS(v)) { seen(v) = true; parent(v) = u; queue.add(v) }
+        if (dist(v) == -1 && inS(v)) { dist(v) = dist(u) + 1; parent(v) = u; queue.add(v) }
+        else if (dist(v) == dist(u) + 1 && u < parent(v)) parent(v) = u
         i += 1
       }
     }

@@ -113,6 +113,91 @@ class PeelerSpec extends AnyFunSuite {
     }
   }
 
+  // ------------------------------------------- slow reference peel
+  /** Algorithm 1 with every quantity recomputed from scratch at each step:
+    * l_S, d_S and |S| through `Modularity.dmOf`, k_{v,S} through
+    * `degreeWithin`, the protected paths from a min-id parent per node. Same
+    * tie-breaks as `Peeler`: the latest best-scoring S wins, Λ ties go to
+    * the farther then smaller node (NCA) or the smaller node (FPA-DMG), Θ
+    * ties to the smaller node, and the first best prefix wins.
+    */
+  private def naivePeel(g: LocalGraph, q: Seq[Int], rule: Peeler.RemovableRule,
+                        goodness: Peeler.Goodness, layerPrune: Boolean): (Set[Int], Double) = {
+    import Ordering.Double.TotalOrdering
+    val comp = g.componentOf(q.head)
+    assert(q.forall(comp))
+    val prot = mutable.BitSet.empty ++= q
+    if (rule == Peeler.FarthestLayer) {
+      val d0 = g.bfsDist(Seq(q.head))
+      def parent(v: Int): Int = g.adj(v).filter(w => d0(w) == d0(v) - 1).minOption.getOrElse(-1)
+      for (v0 <- q) { var v = v0; while (v != -1) { prot += v; v = parent(v) } }
+    }
+    val dist = g.bfsDist(prot)
+    val s = comp.clone()
+    var best = Modularity.dmOf(g, s); var bestSet = s.toSet
+    def remove(v: Int): Unit = {
+      s -= v
+      val sc = Modularity.dmOf(g, s)
+      if (sc >= best) { best = sc; bestSet = s.toSet }
+    }
+    def lambda(v: Int) = Modularity.gain(g.degreeWithin(v, s), g.degree(v), g.degreeSum(s), g.m)
+    def theta(v: Int) = Modularity.ratio(g.degree(v), g.degreeWithin(v, s))
+    def peelLayer(t: Int): Unit = {
+      var cand = s.filter(dist(_) == t)
+      while (cand.nonEmpty) {
+        val v = goodness match {
+          case Peeler.DMGain => cand.toSeq.sortBy(v => (-lambda(v), v)).head
+          case Peeler.DensityRatio => cand.toSeq.sortBy(v => (-theta(v), v)).head
+        }
+        cand -= v; remove(v)
+      }
+    }
+    val maxDist = comp.map(dist(_)).max
+    rule match {
+      case Peeler.NonArticulation =>
+        var more = true
+        while (more) {
+          val art = g.articulationPoints(s)
+          val cand = s.toSeq.filter(v => !prot(v) && !art(v))
+          more = cand.nonEmpty
+          if (more) remove(cand.sortBy(v => (-lambda(v), -dist(v), v)).head)
+        }
+      case Peeler.FarthestLayer if layerPrune =>
+        def prefix(t: Int) = comp.filter(dist(_) <= t)
+        val bestT = (0 to maxDist).map(t => Modularity.dmOf(g, prefix(t))).zipWithIndex
+          .maxBy { case (sc, t) => (sc, -t) }._2
+        s.filterInPlace(dist(_) <= bestT)
+        val sc = Modularity.dmOf(g, s)
+        if (sc >= best) { best = sc; bestSet = s.toSet }
+        if (bestT > 0) peelLayer(bestT)
+      case Peeler.FarthestLayer =>
+        (maxDist to 1 by -1).foreach(peelLayer)
+    }
+    (bestSet, best)
+  }
+
+  private val referenced: Seq[(String, Peeler.RemovableRule, Peeler.Goodness, Boolean,
+      (LocalGraph, Seq[Int]) => Peeler.Result)] = Seq(
+    ("FPA-noprune", Peeler.FarthestLayer, Peeler.DensityRatio, false, (g, q) => Peeler.fpaNoPrune(g, q)),
+    ("FPA", Peeler.FarthestLayer, Peeler.DensityRatio, true, (g, q) => Peeler.fpa(g, q)),
+    ("FPA-DMG", Peeler.FarthestLayer, Peeler.DMGain, true, (g, q) => Peeler.fpaDMG(g, q)),
+    ("NCA", Peeler.NonArticulation, Peeler.DMGain, false, (g, q) => Peeler.nca(g, q)))
+
+  for ((name, rule, goodness, prune, algo) <- referenced; nq <- Seq(1, 3)) {
+    test(s"$name equals the from-scratch reference peel, |Q|=$nq") {
+      // the graphs and queries of the invariant tests above
+      val cases =
+        if (nq == 1) (1 to 6).map(seed => (randomConnected(60, 0.05, seed), new Random(seed * 31)))
+        else (1 to 4).map(seed => (randomConnected(80, 0.04, seed + 77), new Random(seed * 17)))
+      for ((g, rnd) <- cases) {
+        val q = Seq.fill(nq)(rnd.nextInt(g.n)).distinct
+        val r = algo(g, q)
+        val (community, score) = naivePeel(g, q, rule, goodness, prune)
+        assert(r.ok && r.community == community && r.score == score, s"q=$q")
+      }
+    }
+  }
+
   test("FPA best intermediate beats (or ties) the full component DM") {
     val g = randomConnected(100, 0.05, 5)
     val comp = g.componentOf(7)

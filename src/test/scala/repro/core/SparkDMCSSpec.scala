@@ -1,25 +1,30 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baselines.GraphCtx
+import repro.eval.QueryGen
 import repro.graph.{GraphFrames, GraphGen, LocalGraph}
 import scala.collection.mutable
 
 /** The distributed pipeline must return exactly the community of the local
-  * layer-pruned FPA (same prefix selection, same peel, same tie-breaks).
+  * layer-pruned FPA for every |Q| (same protected paths, same prefix
+  * selection, same peel, same tie-breaks).
   */
 class SparkDMCSSpec extends SparkSpec {
 
-  private def assertEquivalent(g: LocalGraph, q: Seq[Int]): Unit = {
+  /** None when both engines agree, else what differs. */
+  private def mismatch(g: LocalGraph, q: Seq[Int]): Option[String] = {
     val edges = GraphFrames.edgeDF(spark, g)
     val local = Peeler.fpa(g, q)
     val dist = SparkDMCS.fpa(spark, edges, q.map(_.toLong))
-    assert(dist.ok == local.ok)
-    if (local.ok) {
-      assert(dist.community.map(_.toInt) == local.community,
-        s"spark=${dist.community.toSeq.sorted} local=${local.community.toSeq.sorted}")
-      assert(math.abs(dist.dm - local.score) < 1e-12)
-    }
+    val same = dist.ok == local.ok && (!local.ok ||
+      dist.community.map(_.toInt) == local.community && math.abs(dist.dm - local.score) < 1e-12)
+    if (same) None
+    else Some(s"q=$q spark=${dist.community.toSeq.sorted} (dm ${dist.dm}) " +
+      s"local=${local.community.toSeq.sorted} (dm ${local.score})")
   }
+  private def assertEquivalent(g: LocalGraph, q: Seq[Int]): Unit =
+    mismatch(g, q).foreach(m => fail(m))
 
   test("karate: SparkDMCS == local FPA (hub query)") {
     assertEquivalent(GraphGen.karate.graph, Seq(0))
@@ -36,11 +41,16 @@ class SparkDMCSSpec extends SparkSpec {
     assert(r.ok && r.community == (12 until 18).map(_.toLong).toSet)
   }
 
-  for (seed <- 1 to 3) {
+  for (seed <- 1 to 6) {
     test(s"LFR seed=$seed: SparkDMCS == local FPA") {
-      val gt = GraphGen.lfr(250, 10, 40, 0.3, 20, 60, seed = seed)
-      val q = gt.communities.maxBy(_.size).head
-      assertEquivalent(gt.graph, Seq(q))
+      val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = seed)
+      val ctx = new GraphCtx(gt.graph)
+      val diffs = for {
+        k <- Seq(1, 2, 4, 8)
+        (q, _) <- QueryGen.querySets(gt, ctx, 2, k, seed * 10 + k)
+        m <- mismatch(gt.graph, q)
+      } yield s"|Q|=$k $m"
+      assert(diffs.isEmpty, diffs.mkString("\n"))
     }
   }
 

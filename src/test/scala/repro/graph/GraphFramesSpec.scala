@@ -37,9 +37,10 @@ class GraphFramesSpec extends SparkSpec {
 
   test("bfsDist matches LocalGraph BFS from a single source") {
     val got = GraphFrames.bfsDist(spark, edges, Seq(0L)).collect()
-      .map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
+      .map(r => r.getLong(0).toInt -> (r.getInt(1), r.getLong(2).toInt)).toMap
     val want = karate.bfsDist(Seq(0))
-    (0 until karate.n).foreach(v => assert(got(v) == want(v), s"node $v"))
+    val parent = karate.bfsParents(0) // the same min-id parent rule
+    (0 until karate.n).foreach(v => assert(got(v) == (want(v), parent(v)), s"node $v"))
   }
 
   test("bfsDist multi-source matches LocalGraph") {
@@ -54,6 +55,13 @@ class GraphFramesSpec extends SparkSpec {
     val e = GraphFrames.edgeDF(spark, g)
     val got = GraphFrames.bfsDist(spark, e, Seq(0L)).collect().map(_.getLong(0)).toSet
     assert(got == Set(0L, 1L, 2L))
+  }
+
+  test("bfsDist runs until the frontier is empty (70-node path)") {
+    val g = LocalGraph.fromEdges(70, (0 until 69).map(i => (i, i + 1)))
+    val rows = GraphFrames.bfsDist(spark, GraphFrames.edgeDF(spark, g), Seq(0L)).collect()
+    assert(rows.length == 70)
+    assert(rows.map(_.getAs[Int]("dist")).max == 69)
   }
 
   test("nodeLayerStats matches DuckDB") {

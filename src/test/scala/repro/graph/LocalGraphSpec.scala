@@ -89,6 +89,12 @@ class LocalGraphSpec extends AnyFunSuite {
     (1 until 8).foreach { v => assert(d(p(v)) == d(v) - 1) }
   }
 
+  test("bfsParents picks the smallest-id parent in the previous layer") {
+    // 5 is reached from 4 (dequeued first) and from 3; the rule keeps 3
+    val g = LocalGraph.fromEdges(6, Seq((0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)))
+    assert(g.bfsParents(0)(5) == 3)
+  }
+
   test("componentOf finds exactly one component") {
     val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
     assert(g.componentOf(0).toSet == Set(0, 1, 2))
