@@ -44,7 +44,7 @@ object GN {
     var continue = true
     while (continue && dead.size < g.m) {
       if (System.currentTimeMillis() - t0 > budgetMs) return best.map(_._2) // timeout
-      val bc = GraphAlgos.edgeBetweenness(g, all, live)
+      val bc = GraphAlgos.betweenness(g, all, live)._2
       if (bc.isEmpty) continue = false
       else {
         val ((u, v), _) = bc.maxBy { case ((a, b), w) => (w, -a.toLong * g.n - b) }

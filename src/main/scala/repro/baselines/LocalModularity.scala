@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Peeler
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
@@ -13,15 +14,11 @@ object LocalModularity {
   def find(g: LocalGraph, queries: Seq[Int], maxIters: Int = 100000): Option[Set[Int]] = {
     val comp = g.componentOf(queries.head)
     if (!queries.forall(comp)) return None
-    // start from the Steiner-ish union of the queries so S is connected
-    val s = mutable.BitSet.empty
-    queries.foreach(s += _)
+    // start from the queries and their BFS-tree paths to q0, so S is connected
+    val s = mutable.BitSet.empty ++= queries
     if (queries.length > 1) {
       val parents = g.bfsParents(queries.head, comp)
-      for (q <- queries) {
-        var v = parents(q)
-        while (v != -1 && !s.contains(v)) { s += v; v = parents(v) }
-      }
+      Peeler.protectPaths(queries.map(_.toLong), v => parents(v.toInt)).foreach(v => s += v.toInt)
     }
     var lIn = g.edgeCount(s)
     var dSum = g.degreeSum(s)

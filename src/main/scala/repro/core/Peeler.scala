@@ -89,7 +89,7 @@ object Peeler {
     * query up to the root, so that removing farthest layers never
     * disconnects Q. `parent` is -1 at the root.
     */
-  private[core] def protectPaths(queries: Seq[Long], parent: Long => Long): mutable.Set[Long] = {
+  private[repro] def protectPaths(queries: Seq[Long], parent: Long => Long): mutable.Set[Long] = {
     val prot = mutable.Set.empty[Long] ++= queries
     for (q <- queries) {
       // a walk may stop at any protected node: its own path is walked too
@@ -160,13 +160,16 @@ object Peeler {
         var continue = true
         while (continue) {
           val art = g.articulationPoints(s)
-          var bestV = -1; var bestG = Double.NegativeInfinity; var bestD = -1
+          var bestV = -1; var bestSc = Double.NegativeInfinity; var bestD = -1
           s.foreach { v =>
             if (!prot(v) && !art(v)) {
-              val gn = Modularity.gain(kv(v), deg(v), dS, mE)
-              val better = gn > bestG ||
-                (gn == bestG && (dist(v) > bestD || (dist(v) == bestD && v < bestV)))
-              if (better) { bestV = v; bestG = gn; bestD = dist(v) }
+              val sc = goodness match {
+                case DMGain => Modularity.gain(kv(v), deg(v), dS, mE)
+                case DensityRatio => Modularity.ratio(deg(v), kv(v))
+              }
+              val better = sc > bestSc ||
+                (sc == bestSc && (dist(v) > bestD || (dist(v) == bestD && v < bestV)))
+              if (better) { bestV = v; bestSc = sc; bestD = dist(v) }
             }
           }
           if (bestV == -1) continue = false

@@ -7,11 +7,33 @@ import repro.graph._
 import scala.collection.mutable
 
 /** Runners for every evaluation table (see DESIGN.md §5); each returns a
-  * printable table so jobs and bench suites share the exact same code path.
+  * printable table. `tables` lists them at full scale, and is what the job
+  * (`repro.jobs.Main`) and the bench suite (`TablesBench`) run.
   */
 object Experiments {
 
-  // ----------------------------------------------------------- registry
+  /** One evaluation table: its name on the command line, and a runner that
+    * prints it at full scale. `run` gets a session factory and calls it only
+    * if the table needs Spark.
+    */
+  final case class Table(name: String, run: (() => SparkSession) => String)
+
+  /** Every evaluation table, in the paper's order. */
+  val tables: Seq[Table] = Seq(
+    Table("table1", _ => table1()),
+    Table("table2", _ => table2()),
+    Table("fig8-9", _ => syntheticSweep()),
+    Table("fig10", _ => querySetSize()),
+    Table("fig11", spark => scalability(spark())),
+    Table("fig12", _ => modularityMeasures()),
+    Table("fig13", _ => pruning()),
+    Table("fig14", _ => variants()),
+    Table("fig15-16", _ => smallRealWorld()),
+    Table("fig17-18", _ => overlappingRealWorld()),
+    Table("fig19", _ => varyK()),
+    Table("case-study", _ => caseStudy()))
+
+  // --------------------------------------------------------- algorithms
   final case class Algo(name: String, run: (GraphCtx, Seq[Int]) => Option[Set[Int]])
 
   private def peelerAlgo(name: String, f: (LocalGraph, Seq[Int]) => Peeler.Result): Algo =
@@ -346,7 +368,7 @@ object Experiments {
         if (others.isEmpty) 1.0
         else g.adj(q).count(others.contains).toDouble / others.size
       val bs = mutable.BitSet.empty; c.foreach(bs += _)
-      val bet = Centrality.betweenness(g, bs)
+      val bet = GraphAlgos.betweenness(g, bs)._1
       val eig = Centrality.eigen(g, bs)
       def rank(m: mutable.HashMap[Int, Double]): Int =
         1 + m.count { case (v, x) => v != q && x > m(q) }

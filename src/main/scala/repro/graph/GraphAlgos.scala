@@ -111,12 +111,16 @@ object GraphAlgos {
     TrussResult(eU, eV, truss, g.n)
   }
 
-  /** Exact edge betweenness (Brandes). Returns map over edges keyed (u<v).
-    * O(V·E); only for small graphs (GN divisive baseline).
+  /** Exact betweenness (Brandes) in the subgraph induced by `members`,
+    * counting only edges `liveEdge` accepts: per node, and per edge keyed
+    * (u<v). O(V·E); only for small graphs (GN baseline, case study).
     */
-  def edgeBetweenness(g: LocalGraph, members: mutable.BitSet,
-                      liveEdge: (Int, Int) => Boolean): mutable.HashMap[(Int, Int), Double] = {
-    val bc = mutable.HashMap.empty[(Int, Int), Double]
+  def betweenness(g: LocalGraph, members: mutable.BitSet,
+                  liveEdge: (Int, Int) => Boolean = (_, _) => true)
+      : (mutable.HashMap[Int, Double], mutable.HashMap[(Int, Int), Double]) = {
+    val perNode = mutable.HashMap.empty[Int, Double]
+    members.foreach(v => perNode(v) = 0.0)
+    val perEdge = mutable.HashMap.empty[(Int, Int), Double]
     val dist = new Array[Int](g.n)
     val sigma = new Array[Double](g.n)
     val delta = new Array[Double](g.n)
@@ -149,15 +153,17 @@ object GraphAlgos {
         preds(w).foreach { u =>
           val c = sigma(u) / sigma(w) * (1.0 + delta(w))
           val e = if (u < w) (u, w) else (w, u)
-          bc(e) = bc.getOrElse(e, 0.0) + c
+          perEdge(e) = perEdge.getOrElse(e, 0.0) + c
           delta(u) += c
         }
+        if (w != sNode) perNode(w) = perNode(w) + delta(w)
         i -= 1
       }
     }
     // each undirected pair counted from both endpoints
-    bc.keys.foreach(k => bc(k) = bc(k) / 2.0)
-    bc
+    perNode.mapValuesInPlace((_, x) => x / 2.0)
+    perEdge.mapValuesInPlace((_, x) => x / 2.0)
+    (perNode, perEdge)
   }
 
   /** Bron–Kerbosch with pivoting; emits maximal cliques as sorted arrays.
@@ -238,53 +244,11 @@ object GraphAlgos {
   }
 }
 
-/** Node centralities used by the Section 6.3.2 case study. */
+/** Eigenvector centrality for the Section 6.3.2 case study; betweenness is
+  * `GraphAlgos.betweenness`.
+  */
 object Centrality {
   import scala.collection.mutable
-
-  /** Exact node betweenness (Brandes) restricted to `members`. */
-  def betweenness(g: LocalGraph, members: mutable.BitSet): mutable.HashMap[Int, Double] = {
-    val bc = mutable.HashMap.empty[Int, Double]
-    members.foreach(v => bc(v) = 0.0)
-    val dist = new Array[Int](g.n)
-    val sigma = new Array[Double](g.n)
-    val delta = new Array[Double](g.n)
-    val preds = Array.fill(g.n)(mutable.ArrayBuffer.empty[Int])
-    val order = mutable.ArrayBuffer.empty[Int]
-    for (sNode <- members) {
-      java.util.Arrays.fill(dist, -1); java.util.Arrays.fill(sigma, 0.0)
-      java.util.Arrays.fill(delta, 0.0)
-      members.foreach(v => preds(v).clear())
-      order.clear()
-      dist(sNode) = 0; sigma(sNode) = 1.0
-      val queue = new java.util.ArrayDeque[Integer]()
-      queue.add(sNode)
-      while (!queue.isEmpty) {
-        val u = queue.poll().intValue()
-        order += u
-        val a = g.adj(u); var i = 0
-        while (i < a.length) {
-          val v = a(i)
-          if (members(v)) {
-            if (dist(v) == -1) { dist(v) = dist(u) + 1; queue.add(v) }
-            if (dist(v) == dist(u) + 1) { sigma(v) += sigma(u); preds(v) += u }
-          }
-          i += 1
-        }
-      }
-      var i = order.length - 1
-      while (i >= 0) {
-        val w = order(i)
-        preds(w).foreach { u =>
-          delta(u) += sigma(u) / sigma(w) * (1.0 + delta(w))
-        }
-        if (w != sNode) bc(w) = bc(w) + delta(w)
-        i -= 1
-      }
-    }
-    bc.keys.foreach(k => bc(k) = bc(k) / 2.0) // undirected
-    bc
-  }
 
   /** Eigenvector centrality by power iteration restricted to `members`.
     * Iterates on (A + I) so bipartite subgraphs (eigenvalues ±λ) converge.

@@ -17,8 +17,6 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
   /** Number of undirected edges `|E|`. */
   val m: Long = degree.foldLeft(0L)(_ + _) / 2
 
-  def neighbors(v: Int): Array[Int] = adj(v)
-
   def hasEdge(u: Int, v: Int): Boolean =
     u >= 0 && u < n && java.util.Arrays.binarySearch(adj(u), v) >= 0
 
@@ -106,29 +104,6 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
       }
     }
     comp
-  }
-
-  /** Component label per node (full graph); labels are representative ids. */
-  def connectedComponents(): Array[Int] = {
-    val label = Array.fill(n)(-1)
-    val queue = new java.util.ArrayDeque[Integer]()
-    var s = 0
-    while (s < n) {
-      if (label(s) == -1) {
-        label(s) = s; queue.add(s)
-        while (!queue.isEmpty) {
-          val u = queue.poll().intValue()
-          val a = adj(u); var i = 0
-          while (i < a.length) {
-            val v = a(i)
-            if (label(v) == -1) { label(v) = s; queue.add(v) }
-            i += 1
-          }
-        }
-      }
-      s += 1
-    }
-    label
   }
 
   def isConnected(members: mutable.BitSet): Boolean = {
@@ -221,18 +196,6 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
       i += 1
     }
     core
-  }
-
-  /** Induce a new graph on `members`; returns (graph, origId) where
-    * `origId(newId) = old id`.
-    */
-  def induced(members: mutable.BitSet): (LocalGraph, Array[Int]) = {
-    val origId = members.toArray
-    val newId = mutable.HashMap.empty[Int, Int]
-    origId.zipWithIndex.foreach { case (o, i) => newId(o) = i }
-    val es = mutable.ArrayBuffer.empty[(Int, Int)]
-    for (u <- origId; v <- adj(u) if v > u && members(v)) es += ((newId(u), newId(v)))
-    (LocalGraph.fromEdges(origId.length, es.toSeq), origId)
   }
 }
 

@@ -8,8 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so the BFS and layer-aggregation
-  * joins exercise the shuffle path even on small test graphs.
+  * limit). The session config is `repro.jobs.Main.session`, the one the
+  * jobs use.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -19,13 +19,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val s = repro.jobs.Main.session("repro")
     s.sparkContext.setLogLevel("WARN") // keep test/bench output readable
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

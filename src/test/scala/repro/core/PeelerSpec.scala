@@ -117,9 +117,9 @@ class PeelerSpec extends AnyFunSuite {
   /** Algorithm 1 with every quantity recomputed from scratch at each step:
     * l_S, d_S and |S| through `Modularity.dmOf`, k_{v,S} through
     * `degreeWithin`, the protected paths from a min-id parent per node. Same
-    * tie-breaks as `Peeler`: the latest best-scoring S wins, Λ ties go to
-    * the farther then smaller node (NCA) or the smaller node (FPA-DMG), Θ
-    * ties to the smaller node, and the first best prefix wins.
+    * tie-breaks as `Peeler`: the latest best-scoring S wins, Λ or Θ ties go
+    * to the farther then smaller node (NCA, NCA-DR) or the smaller node
+    * (FPA-DMG, FPA), and the first best prefix wins.
     */
   private def naivePeel(g: LocalGraph, q: Seq[Int], rule: Peeler.RemovableRule,
                         goodness: Peeler.Goodness, layerPrune: Boolean): (Set[Int], Double) = {
@@ -142,13 +142,14 @@ class PeelerSpec extends AnyFunSuite {
     }
     def lambda(v: Int) = Modularity.gain(g.degreeWithin(v, s), g.degree(v), g.degreeSum(s), g.m)
     def theta(v: Int) = Modularity.ratio(g.degree(v), g.degreeWithin(v, s))
+    def score(v: Int) = goodness match {
+      case Peeler.DMGain => lambda(v)
+      case Peeler.DensityRatio => theta(v)
+    }
     def peelLayer(t: Int): Unit = {
       var cand = s.filter(dist(_) == t)
       while (cand.nonEmpty) {
-        val v = goodness match {
-          case Peeler.DMGain => cand.toSeq.sortBy(v => (-lambda(v), v)).head
-          case Peeler.DensityRatio => cand.toSeq.sortBy(v => (-theta(v), v)).head
-        }
+        val v = cand.toSeq.sortBy(v => (-score(v), v)).head
         cand -= v; remove(v)
       }
     }
@@ -160,7 +161,7 @@ class PeelerSpec extends AnyFunSuite {
           val art = g.articulationPoints(s)
           val cand = s.toSeq.filter(v => !prot(v) && !art(v))
           more = cand.nonEmpty
-          if (more) remove(cand.sortBy(v => (-lambda(v), -dist(v), v)).head)
+          if (more) remove(cand.sortBy(v => (-score(v), -dist(v), v)).head)
         }
       case Peeler.FarthestLayer if layerPrune =>
         def prefix(t: Int) = comp.filter(dist(_) <= t)
@@ -181,7 +182,8 @@ class PeelerSpec extends AnyFunSuite {
     ("FPA-noprune", Peeler.FarthestLayer, Peeler.DensityRatio, false, (g, q) => Peeler.fpaNoPrune(g, q)),
     ("FPA", Peeler.FarthestLayer, Peeler.DensityRatio, true, (g, q) => Peeler.fpa(g, q)),
     ("FPA-DMG", Peeler.FarthestLayer, Peeler.DMGain, true, (g, q) => Peeler.fpaDMG(g, q)),
-    ("NCA", Peeler.NonArticulation, Peeler.DMGain, false, (g, q) => Peeler.nca(g, q)))
+    ("NCA", Peeler.NonArticulation, Peeler.DMGain, false, (g, q) => Peeler.nca(g, q)),
+    ("NCA-DR", Peeler.NonArticulation, Peeler.DensityRatio, false, (g, q) => Peeler.ncaDR(g, q)))
 
   for ((name, rule, goodness, prune, algo) <- referenced; nq <- Seq(1, 3)) {
     test(s"$name equals the from-scratch reference peel, |Q|=$nq") {

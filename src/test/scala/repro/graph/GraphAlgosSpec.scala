@@ -91,20 +91,21 @@ class GraphAlgosSpec extends AnyFunSuite {
   // ----------------------------------------------------------- betweenness
   test("edge betweenness of P3") {
     val g = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
-    val bc = GraphAlgos.edgeBetweenness(g, allBits(3), (_, _) => true)
+    val bc = GraphAlgos.betweenness(g, allBits(3))._2
     assert(math.abs(bc((0, 1)) - 2.0) < 1e-9)
     assert(math.abs(bc((1, 2)) - 2.0) < 1e-9)
   }
 
   test("edge betweenness of a 4-star: every spoke covers 3 pairs") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (0, 2), (0, 3)))
-    val bc = GraphAlgos.edgeBetweenness(g, allBits(4), (_, _) => true)
+    val bc = GraphAlgos.betweenness(g, allBits(4))._2
     Seq((0, 1), (0, 2), (0, 3)).foreach(e => assert(math.abs(bc(e) - 3.0) < 1e-9))
   }
 
   test("edge betweenness respects dead edges") {
     val g = cycle(4)
-    val bc = GraphAlgos.edgeBetweenness(g, allBits(4), (u, v) => !(u == 0 && v == 1 || u == 1 && v == 0))
+    val dead01 = (u: Int, v: Int) => !(u == 0 && v == 1 || u == 1 && v == 0)
+    val bc = GraphAlgos.betweenness(g, allBits(4), dead01)._2
     assert(!bc.contains((0, 1)) || bc((0, 1)) == 0.0)
   }
 
@@ -112,7 +113,7 @@ class GraphAlgosSpec extends AnyFunSuite {
     val es = (for { i <- 0 until 4; j <- i + 1 until 4 } yield (i, j)) ++
       (for { i <- 4 until 8; j <- i + 1 until 8 } yield (i, j)) ++ Seq((0, 4))
     val g = LocalGraph.fromEdges(8, es)
-    val bc = GraphAlgos.edgeBetweenness(g, allBits(8), (_, _) => true)
+    val bc = GraphAlgos.betweenness(g, allBits(8))._2
     assert(bc.maxBy(_._2)._1 == (0, 4))
   }
 
@@ -172,7 +173,7 @@ class GraphAlgosSpec extends AnyFunSuite {
   // ------------------------------------------------------------ centrality
   test("node betweenness: path center dominates") {
     val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4)))
-    val bc = Centrality.betweenness(g, allBits(5))
+    val bc = GraphAlgos.betweenness(g, allBits(5))._1
     assert(bc(2) > bc(1) && bc(1) > bc(0))
     assert(math.abs(bc(2) - 4.0) < 1e-9) // pairs (0,3),(0,4),(1,3),(1,4)
   }

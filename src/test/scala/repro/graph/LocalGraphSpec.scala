@@ -102,14 +102,6 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.componentOf(5).toSet == Set(5))
   }
 
-  test("connectedComponents labels") {
-    val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
-    val l = g.connectedComponents()
-    assert(l(0) == l(1) && l(1) == l(2))
-    assert(l(3) == l(4))
-    assert(Set(l(0), l(3), l(5)).size == 3)
-  }
-
   test("isConnected") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (2, 3)))
     assert(g.isConnected(mutable.BitSet(0, 1)))
@@ -210,13 +202,6 @@ class LocalGraphSpec extends AnyFunSuite {
         assert(core(v) == brute, s"node $v: fast=${core(v)} brute=$brute")
       }
     }
-  }
-
-  test("induced subgraph preserves structure") {
-    val g = clique(6)
-    val (sub, origId) = g.induced(mutable.BitSet(1, 3, 5))
-    assert(sub.n == 3 && sub.m == 3)
-    assert(origId.toSeq == Seq(1, 3, 5))
   }
 
   test("edgeCount and degreeSum on subsets") {
