@@ -26,6 +26,7 @@ object LocalModularity {
     def mScore(in: Long, out: Long): Double =
       if (out == 0) Double.PositiveInfinity else in.toDouble / out
 
+    val cut = g.cutCheck(s) // S starts connected and stays so
     var changed = true
     var iters = 0
     while (changed && iters < maxIters) {
@@ -49,16 +50,18 @@ object LocalModularity {
       }
       // deletion phase: best removable member by resulting M
       if (s.size > queries.length) {
-        val art = g.articulationPoints(s)
-        var delV = -1; var delM = mScore(lIn, lOut)
-        s.foreach { v =>
-          if (!queries.contains(v) && !art(v)) {
-            val k = g.degreeWithin(v, s)
-            val nIn = lIn - k
-            val nOut = (dSum - g.degree(v)) - 2 * nIn
-            val sc = mScore(nIn, nOut)
-            if (sc > delM) { delM = sc; delV = v }
+        val delV = cut.bestNonCut { ok =>
+          var delV = -1; var delM = mScore(lIn, lOut)
+          s.foreach { v =>
+            if (!queries.contains(v) && ok(v)) {
+              val k = g.degreeWithin(v, s)
+              val nIn = lIn - k
+              val nOut = (dSum - g.degree(v)) - 2 * nIn
+              val sc = mScore(nIn, nOut)
+              if (sc > delM) { delM = sc; delV = v }
+            }
           }
+          delV
         }
         if (delV != -1) {
           val k = g.degreeWithin(delV, s)

@@ -31,15 +31,18 @@ object QueryBiased {
     var bestRho = rho
     var bestCount = 0
 
+    val cut = g.cutCheck(s) // S starts as a component and stays connected
     var continue = true
     while (continue) {
-      val art = g.articulationPoints(s)
-      var bestV = -1; var bestScore = Double.PositiveInfinity
-      s.foreach { v =>
-        if (!queries.contains(v) && !art(v)) {
-          val sc = kv(v) / weight(v) // cheap-to-drop: few links, far away
-          if (sc < bestScore || (sc == bestScore && v < bestV)) { bestScore = sc; bestV = v }
+      val bestV = cut.bestNonCut { ok =>
+        var bestV = -1; var bestScore = Double.PositiveInfinity
+        s.foreach { v =>
+          if (!queries.contains(v) && ok(v)) {
+            val sc = kv(v) / weight(v) // cheap-to-drop: few links, far away
+            if (sc < bestScore || (sc == bestScore && v < bestV)) { bestScore = sc; bestV = v }
+          }
         }
+        bestV
       }
       if (bestV == -1) continue = false
       else {

@@ -157,12 +157,13 @@ object Peeler {
 
     rule match {
       case NonArticulation =>
-        var continue = true
-        while (continue) {
-          val art = g.articulationPoints(s)
+        // S stays connected: it starts as a whole component and loses only
+        // non-cut nodes, so `bestNonCut` needs to check only the top node
+        val cut = g.cutCheck(s)
+        def rank(ok: Int => Boolean): Int = { // higher score, farther, smaller id
           var bestV = -1; var bestSc = Double.NegativeInfinity; var bestD = -1
           s.foreach { v =>
-            if (!prot(v) && !art(v)) {
+            if (!prot(v) && ok(v)) {
               val sc = goodness match {
                 case DMGain => Modularity.gain(kv(v), deg(v), dS, mE)
                 case DensityRatio => Modularity.ratio(deg(v), kv(v))
@@ -172,6 +173,11 @@ object Peeler {
               if (better) { bestV = v; bestSc = sc; bestD = dist(v) }
             }
           }
+          bestV
+        }
+        var continue = true
+        while (continue) {
+          val bestV = cut.bestNonCut(rank)
           if (bestV == -1) continue = false
           else { removeNode(bestV); consider() }
         }

@@ -60,7 +60,12 @@ object SparkDMCS {
         coalesce(col("nEdges"), lit(0L)).as("nEdges"))
       .orderBy(col("dist"))
       .collect()
-    val maxLayer = layerRows.map(_.getAs[Int]("dist")).maxOption.getOrElse(0)
+    if (layerRows.isEmpty) {
+      // the query has no edges, so no `degrees` row: its component is itself
+      e.unpersist(); degs.unpersist(); dist.unpersist()
+      return Result(queries.toSet, Modularity.dm(0, 0, 1, mE), 0, 0, elapsedMs, ok = true)
+    }
+    val maxLayer = layerRows.map(_.getAs[Int]("dist")).max
     def perLayer(c: String): Array[Long] = {
       val a = new Array[Long](maxLayer + 1)
       layerRows.foreach(r => a(r.getAs[Int]("dist")) = r.getAs[Long](c))

@@ -156,6 +156,66 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
     art
   }
 
+  /** Removal checks on a connected member set that a caller changes one node
+    * at a time (a peel). Its work arrays are allocated once, and each check
+    * stamps them with a fresh epoch instead of clearing them.
+    */
+  def cutCheck(members: mutable.BitSet): CutCheck = new CutCheck(members)
+
+  final class CutCheck private[LocalGraph] (members: mutable.BitSet) {
+    private val stamp = new Array[Int](n)
+    private val queue = new Array[Int](n)
+    private var epoch = 0
+
+    /** Whether `members` - v stays connected, for a connected `members`
+      * holding v: a BFS inside `members` - v from one member neighbour of v
+      * that stops once it has reached all k_{v,S} of them.
+      */
+    def keepsConnected(v: Int): Boolean = {
+      epoch += 1
+      val nbr = 2 * epoch; val seen = nbr + 1
+      val a = adj(v); var k = 0; var i = 0
+      while (i < a.length) {
+        val w = a(i)
+        if (members(w)) { stamp(w) = nbr; queue(k) = w; k += 1 }
+        i += 1
+      }
+      if (k <= 1) return true
+      stamp(v) = seen
+      stamp(queue(0)) = seen
+      var head = 0; var tail = 1; var found = 1
+      while (head < tail) {
+        val b = adj(queue(head)); head += 1
+        var j = 0
+        while (j < b.length) {
+          val w = b(j)
+          if (stamp(w) != seen && members(w)) {
+            if (stamp(w) == nbr) { found += 1; if (found == k) return true }
+            stamp(w) = seen; queue(tail) = w; tail += 1
+          }
+          j += 1
+        }
+      }
+      false
+    }
+
+    /** The member that ranks first among those whose removal keeps
+      * `members` connected, or -1 if there is none. `rank(ok)` is the
+      * caller's ranking scan: its best member passing `ok`, or -1. Only the
+      * top-ranked member is checked; the articulation points of `members`
+      * are computed, and the scan run again without them, only when that
+      * member is one of them.
+      */
+    def bestNonCut(rank: (Int => Boolean) => Int): Int = {
+      val top = rank(_ => true)
+      if (top == -1 || keepsConnected(top)) top
+      else {
+        val art = articulationPoints(members)
+        rank(!art(_))
+      }
+    }
+  }
+
   /** Core number of every node (bucket peeling, O(E)). */
   def coreNumbers(): Array[Int] = {
     if (n == 0) return Array.empty

@@ -200,6 +200,36 @@ class PeelerSpec extends AnyFunSuite {
     }
   }
 
+  // NCA and NCA-DR check only their top-ranked node and fall back to the
+  // articulation points when it is a cut vertex. Here the second step's top
+  // node (4, under both Λ and Θ) is one: the leaf 6 hangs off it.
+  private val cutTop = LocalGraph.fromEdges(7,
+    Seq((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)))
+  // Hundreds of steps on LFR graphs, nearly all taking the checked top node.
+  private def lfrCases(nq: Int): Seq[(LocalGraph, Seq[Int])] = (1 to 2).map { seed =>
+    val g = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = seed).graph
+    val rnd = new Random(seed * 13 + nq)
+    (g, Seq.fill(nq)(rnd.nextInt(g.n)).distinct)
+  }
+  for ((name, goodness, algo) <- Seq[(String, Peeler.Goodness, (LocalGraph, Seq[Int]) => Peeler.Result)](
+      ("NCA", Peeler.DMGain, (g, q) => Peeler.nca(g, q)),
+      ("NCA-DR", Peeler.DensityRatio, (g, q) => Peeler.ncaDR(g, q)))) {
+    test(s"$name equals the reference peel when its top-ranked node is a cut vertex") {
+      val r = algo(cutTop, Seq(0))
+      val (community, score) = naivePeel(cutTop, Seq(0), Peeler.NonArticulation, goodness, false)
+      assert(r.ok && r.community == community && r.score == score)
+    }
+    for (nq <- Seq(1, 2)) {
+      test(s"$name equals the reference peel on LFR(300), |Q|=$nq") {
+        for ((g, q) <- lfrCases(nq)) {
+          val r = algo(g, q)
+          val (community, score) = naivePeel(g, q, Peeler.NonArticulation, goodness, false)
+          assert(r.ok && r.community == community && r.score == score, s"q=$q")
+        }
+      }
+    }
+  }
+
   test("FPA best intermediate beats (or ties) the full component DM") {
     val g = randomConnected(100, 0.05, 5)
     val comp = g.componentOf(7)

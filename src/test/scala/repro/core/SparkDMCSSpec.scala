@@ -66,6 +66,11 @@ class SparkDMCSSpec extends SparkSpec {
     assert(gt.graph.isConnected(bits))
   }
 
+  test("isolated query: SparkDMCS == local FPA") {
+    // node 4 has no edges, so no degrees row; both engines return {4}
+    assertEquivalent(LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3))), Seq(4))
+  }
+
   test("queries in different components fail gracefully") {
     val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
     val r = SparkDMCS.fpa(spark, GraphFrames.edgeDF(spark, g), Seq(0L, 3L))

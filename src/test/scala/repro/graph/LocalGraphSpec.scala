@@ -159,6 +159,48 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  // ------------------------------------- cutCheck against Hopcroft–Tarjan
+  private def barbell(k: Int) = LocalGraph.fromEdges(2 * k,
+    (for { i <- 0 until k; j <- i + 1 until k } yield Seq((i, j), (k + i, k + j))).flatten :+
+      ((k - 1, k)))
+  /** keepsConnected(v) == !articulationPoints(members)(v) for every member v. */
+  private def assertCutCheck(g: LocalGraph, members: mutable.BitSet): Unit = {
+    assert(g.isConnected(members))
+    val art = g.articulationPoints(members)
+    val cut = g.cutCheck(members)
+    members.foreach(v => assert(cut.keepsConnected(v) == !art(v), s"v=$v of $members"))
+  }
+
+  for ((name, g) <- Seq("path" -> path(7), "cycle" -> cycle(7), "star" -> star(7),
+      "barbell" -> barbell(4), "two-node" -> path(2))) {
+    test(s"cutCheck equals Hopcroft–Tarjan on a $name") {
+      assertCutCheck(g, allBits(g.n))
+    }
+  }
+
+  test("cutCheck on a two-node member set inside a larger graph") {
+    assertCutCheck(clique(5), mutable.BitSet(1, 3))
+  }
+
+  for (seed <- 1 to 6; (density, p) <- Seq("sparse" -> 0.05, "dense" -> 0.4)) {
+    test(s"cutCheck equals Hopcroft–Tarjan on $density random member sets seed=$seed") {
+      val g = randomGraph(60, p, seed + 200)
+      val rnd = new Random(seed)
+      // the component of the first kept node within a random 70% of the nodes
+      val kept = mutable.BitSet.empty ++= (0 until 60).filter(_ => rnd.nextDouble() < 0.7)
+      val members = g.componentOf(kept.head, kept)
+      assertCutCheck(g, members)
+      assertCutCheck(g, g.componentOf(0))
+      // one check object stays exact while a peel removes non-cut members
+      val cut = g.cutCheck(members)
+      while (members.size > 1) {
+        val art = g.articulationPoints(members)
+        members.foreach(v => assert(cut.keepsConnected(v) == !art(v), s"v=$v"))
+        members -= members.filterNot(art).toSeq(rnd.nextInt(members.size - art.size))
+      }
+    }
+  }
+
   test("coreNumbers of a clique") {
     assert(clique(5).coreNumbers().forall(_ == 4))
   }
