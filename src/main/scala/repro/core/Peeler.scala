@@ -14,8 +14,9 @@ import scala.collection.mutable
   *   FPA = (b)+(d)+prune, FPA-noprune = (b)+(d).
   *
   * `run` prepares the query side (same-component check, protected paths,
-  * distances) and hands it to `peel`, which the Spark pipeline also calls on
-  * the distance prefix it collects, scoring DM against the full graph.
+  * distances, layer stats and the prefix choice) and hands the chosen
+  * members to `peel`, which the Spark pipeline also calls on the distance
+  * prefix it collects, scoring DM against the full graph.
   */
 object Peeler {
 
@@ -52,37 +53,26 @@ object Peeler {
     // protected nodes: the queries, plus (FPA, |Q|>1) the BFS-tree paths
     // linking them to q0; the same BFS tells whether Q shares a component
     val prot = mutable.BitSet.empty ++= queries
-    if (queries.length > 1) {
-      val parents = g.bfsParents(queries.head)
-      if (queries.exists(q => q != queries.head && parents(q) == -1))
+    if (queries.length > 1) g.bfsParentsTo(queries.head, queries.tail) match {
+      case None =>
         return Result(queries.toSet, Double.NaN, 0, elapsedMs, ok = false,
           "query nodes are not in the same connected component")
-      if (rule == FarthestLayer)
-        protectPaths(queries.map(_.toLong), v => parents(v.toInt)).foreach(v => prot += v.toInt)
+      case Some(parents) =>
+        if (rule == FarthestLayer)
+          protectPaths(queries.map(_.toLong), v => parents(v.toInt)).foreach(v => prot += v.toInt)
     }
-    val dist = g.bfsDist(prot) // reaches exactly the queried component
+    // reaches exactly the queried component, in layer order
+    val layers = g.bfsLayers(prot)
 
-    val prefix = if (rule != FarthestLayer || !layerPrune) -1 else {
-      // Section 5.7, per layer: its nodes, their global degrees, and the
-      // edges whose farther endpoint lies in it
-      val layers = dist.max + 1
-      val (nNodes, sumDeg, nEdges) =
-        (new Array[Long](layers), new Array[Long](layers), new Array[Long](layers))
-      var u = 0
-      while (u < g.n) {
-        val d = dist(u)
-        if (d >= 0) {
-          nNodes(d) += 1; sumDeg(d) += g.degree(u)
-          val a = g.adj(u); var i = 0
-          while (i < a.length) { if (a(i) > u) nEdges(math.max(d, dist(a(i)))) += 1; i += 1 }
-        }
-        u += 1
-      }
-      bestPrefix(nNodes, sumDeg, nEdges, g.m, objective)
-    }
-
-    peel(g, g.degree, g.m, prot, dist, rule, goodness, objective, prefix)
-      .copy(millis = elapsedMs)
+    // Section 5.7: S starts as the best distance prefix, or else as the
+    // whole component; the nodes outside it count as removed. `bestPrefix`
+    // has scored every longer prefix, so no better S lies between them.
+    val prefix = if (rule != FarthestLayer || !layerPrune) -1
+      else bestPrefix(layers.nNodes, layers.sumDeg, layers.nEdges, g.m, objective)
+    val size = if (prefix < 0) layers.reached else layers.nNodes.iterator.take(prefix + 1).sum.toInt
+    val res = peel(g, g.degree, g.m, prot, java.util.Arrays.copyOf(layers.order, size), layers.dist,
+      rule, goodness, objective, prefix)
+    res.copy(removed = res.removed + layers.reached - size, millis = elapsedMs)
   }
 
   /** Section 5.6: the queries plus every node on the BFS-tree path from each
@@ -116,26 +106,24 @@ object Peeler {
     bestT
   }
 
-  /** Algorithm 1 on S = every node `dist` reaches (>= 0), which must be a
-    * whole component of `g`, so that k_{v,S} starts as the degree in `g`.
-    * DM is scored with the global degrees `deg` and edge count `mE`. With
-    * the farthest-layer rule, `prefix` >= 0 jumps to the distance prefix
-    * 0..prefix and peels only its outermost layer; -1 peels every layer.
+  /** Algorithm 1 on S = `members`, with k_{v,S} counted inside S. DM is
+    * scored with the global degrees `deg` and edge count `mE`. The NCA rule
+    * needs S to be connected. With the farthest-layer rule, `prefix` >= 0
+    * says that S is the distance prefix 0..prefix, and only its outermost
+    * layer is peeled; -1 peels every layer. `removed` counts from S.
     */
   private[core] def peel(g: LocalGraph, deg: Array[Int], mE: Long, prot: mutable.BitSet,
-                         dist: Array[Int], rule: RemovableRule, goodness: Goodness,
-                         objective: Objective, prefix: Int): Result = {
+                         members: Array[Int], dist: Array[Int], rule: RemovableRule,
+                         goodness: Goodness, objective: Objective, prefix: Int): Result = {
     // incremental state: S, k_{v,S}, l_S, d_S, |S|
-    val s = mutable.BitSet.empty
-    val kv = g.degree.clone()
+    val s = mutable.BitSet.empty ++= members
+    val kv = new Array[Int](g.n)
     var lS = 0L; var dS = 0L
-    var v = 0
-    while (v < g.n) {
-      if (dist(v) >= 0) { s += v; lS += kv(v); dS += deg(v) }
-      v += 1
+    members.foreach { v =>
+      kv(v) = g.degreeWithin(v, s); lS += kv(v); dS += deg(v)
     }
     lS /= 2
-    var size = s.size.toLong
+    var size = members.length.toLong
 
     val removed = mutable.ArrayBuffer.empty[Int]
     var bestScore = objective(lS, dS, size, mE)
@@ -184,9 +172,9 @@ object Peeler {
 
       case FarthestLayer =>
         var maxDist = 0
-        s.foreach(v => if (dist(v) > maxDist) maxDist = dist(v))
+        members.foreach(v => if (dist(v) > maxDist) maxDist = dist(v))
         val layers = Array.fill(maxDist + 1)(mutable.ArrayBuffer.empty[Int])
-        s.foreach(v => layers(dist(v)) += v)
+        members.foreach(v => layers(dist(v)) += v)
 
         def peelLayer(dlev: Int): Unit = {
           val cand = mutable.BitSet.empty
@@ -228,15 +216,9 @@ object Peeler {
           }
         }
 
-        if (prefix >= 0) {
-          var t = maxDist
-          while (t > prefix) { layers(t).foreach(removeNode); t -= 1 }
-          consider() // the chosen prefix subgraph is a candidate solution
-          if (prefix > 0) peelLayer(prefix)
-        } else {
-          var dlev = maxDist
-          while (dlev >= 1) { peelLayer(dlev); dlev -= 1 }
-        }
+        // members lie within 0..prefix, so a prefix peels only its last layer
+        var dlev = maxDist
+        while (dlev >= math.max(1, prefix)) { peelLayer(dlev); dlev -= 1 }
     }
 
     // the best S is the final S plus everything removed after it

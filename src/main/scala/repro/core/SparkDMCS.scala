@@ -95,8 +95,8 @@ object SparkDMCS {
       .map(r => (idOf(r.getAs[Long]("src")), idOf(r.getAs[Long]("dst"))))
 
     val sub = LocalGraph.fromEdges(ids.length, subEdges.toSeq)
-    val res = Peeler.peel(sub, degOf, mE, mutable.BitSet.empty ++= prot.map(idOf), distOf,
-      Peeler.FarthestLayer, Peeler.DensityRatio, Peeler.DmObjective, prefix = bestT)
+    val res = Peeler.peel(sub, degOf, mE, mutable.BitSet.empty ++= prot.map(idOf),
+      Array.range(0, ids.length), distOf, Peeler.FarthestLayer, Peeler.DensityRatio, Peeler.DmObjective, prefix = bestT)
 
     e.unpersist(); degs.unpersist(); dist.unpersist(); keep.unpersist()
     Result(res.community.map(i => ids(i)), res.score, bestT, maxLayer, elapsedMs, ok = true)

@@ -52,14 +52,15 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
   /** Multi-source BFS distance, restricted to `inS`; -1 for unreachable. */
   def bfsDist(sources: Iterable[Int], inS: Int => Boolean = _ => true): Array[Int] = {
     val dist = Array.fill(n)(-1)
-    val queue = new java.util.ArrayDeque[Integer]()
-    for (s <- sources) if (inS(s) && dist(s) == -1) { dist(s) = 0; queue.add(s) }
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
+    val queue = new Array[Int](n)
+    var head = 0; var tail = 0
+    for (s <- sources) if (inS(s) && dist(s) == -1) { dist(s) = 0; queue(tail) = s; tail += 1 }
+    while (head < tail) {
+      val u = queue(head); head += 1
       val a = adj(u); var i = 0
       while (i < a.length) {
         val v = a(i)
-        if (dist(v) == -1 && inS(v)) { dist(v) = dist(u) + 1; queue.add(v) }
+        if (dist(v) == -1 && inS(v)) { dist(v) = dist(u) + 1; queue(tail) = v; tail += 1 }
         i += 1
       }
     }
@@ -73,14 +74,15 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
   def bfsParents(source: Int, inS: Int => Boolean = _ => true): Array[Int] = {
     val parent = Array.fill(n)(-1)
     val dist = Array.fill(n)(-1)
-    val queue = new java.util.ArrayDeque[Integer]()
-    dist(source) = 0; queue.add(source)
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
+    val queue = new Array[Int](n)
+    dist(source) = 0; queue(0) = source
+    var head = 0; var tail = 1
+    while (head < tail) {
+      val u = queue(head); head += 1
       val a = adj(u); var i = 0
       while (i < a.length) {
         val v = a(i)
-        if (dist(v) == -1 && inS(v)) { dist(v) = dist(u) + 1; parent(v) = u; queue.add(v) }
+        if (dist(v) == -1 && inS(v)) { dist(v) = dist(u) + 1; parent(v) = u; queue(tail) = v; tail += 1 }
         else if (dist(v) == dist(u) + 1 && u < parent(v)) parent(v) = u
         i += 1
       }
@@ -88,18 +90,83 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
     parent
   }
 
+  /** `bfsParents(source)` computed only as far as `targets` need, or None
+    * when some target is in another component. The parent of a node on
+    * layer L is final once layer L-1 has been scanned, so the BFS stops once
+    * every target has a distance and the layer before the farthest target's
+    * has been scanned: the parents on every target's path to `source` are
+    * then final. Nodes farther than the farthest target keep -1.
+    */
+  def bfsParentsTo(source: Int, targets: Iterable[Int]): Option[Array[Int]] = {
+    val parent = Array.fill(n)(-1)
+    val dist = Array.fill(n)(-1)
+    val queue = new Array[Int](n)
+    dist(source) = 0; queue(0) = source
+    var missing = 0 // targets not yet reached, each marked with distance -2
+    for (t <- targets) if (dist(t) == -1) { dist(t) = -2; missing += 1 }
+    var lastLayer = -1 // the layer to finish once no target is missing
+    var head = 0; var tail = 1
+    while (head < tail && (missing > 0 || dist(queue(head)) <= lastLayer)) {
+      val u = queue(head); head += 1
+      val a = adj(u); var i = 0
+      while (i < a.length) {
+        val v = a(i)
+        if (dist(v) < 0) {
+          if (dist(v) == -2) { missing -= 1; if (missing == 0) lastLayer = dist(u) }
+          dist(v) = dist(u) + 1; parent(v) = u; queue(tail) = v; tail += 1
+        } else if (dist(v) == dist(u) + 1 && u < parent(v)) parent(v) = u
+        i += 1
+      }
+    }
+    if (missing > 0) None else Some(parent)
+  }
+
+  /** Multi-source BFS from `sources` (unrestricted) that also returns its
+    * visit order and the per-layer statistics of Section 5.7, counted as the
+    * BFS runs. When u on layer d leaves the queue, every node of layer d has
+    * its distance, so the edge (u, w) is counted for layer d if w lies on
+    * layer d-1, or on layer d with w < u: each edge once, for the layer of
+    * its farther endpoint.
+    */
+  def bfsLayers(sources: Iterable[Int]): LocalGraph.Layers = {
+    val dist = Array.fill(n)(-1)
+    val order = new Array[Int](n)
+    var head = 0; var tail = 0
+    for (s <- sources) if (dist(s) == -1) { dist(s) = 0; order(tail) = s; tail += 1 }
+    val nNodes, sumDeg, nEdges = mutable.ArrayBuffer.empty[Long]
+    var d = 0; var nodes = 0L; var degs = 0L; var edges = 0L // layer d so far
+    while (head < tail) {
+      val u = order(head); head += 1
+      if (dist(u) > d) {
+        nNodes += nodes; sumDeg += degs; nEdges += edges
+        d += 1; nodes = 0; degs = 0; edges = 0
+      }
+      nodes += 1; degs += degree(u)
+      val a = adj(u); var i = 0
+      while (i < a.length) {
+        val w = a(i); val dw = dist(w)
+        if (dw == -1) { dist(w) = d + 1; order(tail) = w; tail += 1 }
+        else if (dw == d - 1 || (dw == d && w < u)) edges += 1
+        i += 1
+      }
+    }
+    if (tail > 0) { nNodes += nodes; sumDeg += degs; nEdges += edges }
+    LocalGraph.Layers(dist, order, tail, nNodes.toArray, sumDeg.toArray, nEdges.toArray)
+  }
+
   /** Connected component of `seed` restricted to `inS`, as a BitSet. */
   def componentOf(seed: Int, inS: Int => Boolean = _ => true): mutable.BitSet = {
     val comp = mutable.BitSet.empty
     if (!inS(seed)) return comp
-    val queue = new java.util.ArrayDeque[Integer]()
-    comp += seed; queue.add(seed)
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
+    val queue = new Array[Int](n)
+    comp += seed; queue(0) = seed
+    var head = 0; var tail = 1
+    while (head < tail) {
+      val u = queue(head); head += 1
       val a = adj(u); var i = 0
       while (i < a.length) {
         val v = a(i)
-        if (inS(v) && !comp(v)) { comp += v; queue.add(v) }
+        if (inS(v) && !comp(v)) { comp += v; queue(tail) = v; tail += 1 }
         i += 1
       }
     }
@@ -260,6 +327,14 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
 }
 
 object LocalGraph {
+  /** A BFS from a source set: `dist` (-1 = unreached), the visit order
+    * `order(0 until reached)`, which is sorted by layer, and per layer its
+    * node count, global degree sum and the edges whose farther endpoint lies
+    * in it.
+    */
+  final case class Layers(dist: Array[Int], order: Array[Int], reached: Int,
+                          nNodes: Array[Long], sumDeg: Array[Long], nEdges: Array[Long])
+
   /** Build from an edge list; dedupes, drops self-loops, sorts adjacency. */
   def fromEdges(n: Int, edgeSeq: Iterable[(Int, Int)]): LocalGraph = {
     val sets = Array.fill(n)(mutable.SortedSet.empty[Int])

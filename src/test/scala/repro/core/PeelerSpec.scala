@@ -114,15 +114,20 @@ class PeelerSpec extends AnyFunSuite {
   }
 
   // ------------------------------------------- slow reference peel
+  private case class Ref(community: Set[Int], score: Double, removed: Int, prefix: Int) {
+    def matches(r: Peeler.Result): Boolean =
+      r.ok && r.community == community && r.score == score && r.removed == removed
+  }
   /** Algorithm 1 with every quantity recomputed from scratch at each step:
     * l_S, d_S and |S| through `Modularity.dmOf`, k_{v,S} through
     * `degreeWithin`, the protected paths from a min-id parent per node. Same
     * tie-breaks as `Peeler`: the latest best-scoring S wins, Λ or Θ ties go
     * to the farther then smaller node (NCA, NCA-DR) or the smaller node
-    * (FPA-DMG, FPA), and the first best prefix wins.
+    * (FPA-DMG, FPA), and the first best prefix wins. `removed` counts the
+    * component's nodes outside the best S; `prefix` is -1 without pruning.
     */
   private def naivePeel(g: LocalGraph, q: Seq[Int], rule: Peeler.RemovableRule,
-                        goodness: Peeler.Goodness, layerPrune: Boolean): (Set[Int], Double) = {
+                        goodness: Peeler.Goodness, layerPrune: Boolean): Ref = {
     import Ordering.Double.TotalOrdering
     val comp = g.componentOf(q.head)
     assert(q.forall(comp))
@@ -154,6 +159,7 @@ class PeelerSpec extends AnyFunSuite {
       }
     }
     val maxDist = comp.map(dist(_)).max
+    var chosen = -1 // the pruning prefix
     rule match {
       case Peeler.NonArticulation =>
         var more = true
@@ -167,6 +173,7 @@ class PeelerSpec extends AnyFunSuite {
         def prefix(t: Int) = comp.filter(dist(_) <= t)
         val bestT = (0 to maxDist).map(t => Modularity.dmOf(g, prefix(t))).zipWithIndex
           .maxBy { case (sc, t) => (sc, -t) }._2
+        chosen = bestT
         s.filterInPlace(dist(_) <= bestT)
         val sc = Modularity.dmOf(g, s)
         if (sc >= best) { best = sc; bestSet = s.toSet }
@@ -174,7 +181,7 @@ class PeelerSpec extends AnyFunSuite {
       case Peeler.FarthestLayer =>
         (maxDist to 1 by -1).foreach(peelLayer)
     }
-    (bestSet, best)
+    Ref(bestSet, best, comp.size - bestSet.size, chosen)
   }
 
   private val referenced: Seq[(String, Peeler.RemovableRule, Peeler.Goodness, Boolean,
@@ -194,8 +201,7 @@ class PeelerSpec extends AnyFunSuite {
       for ((g, rnd) <- cases) {
         val q = Seq.fill(nq)(rnd.nextInt(g.n)).distinct
         val r = algo(g, q)
-        val (community, score) = naivePeel(g, q, rule, goodness, prune)
-        assert(r.ok && r.community == community && r.score == score, s"q=$q")
+        assert(naivePeel(g, q, rule, goodness, prune).matches(r), s"q=$q")
       }
     }
   }
@@ -216,17 +222,50 @@ class PeelerSpec extends AnyFunSuite {
       ("NCA-DR", Peeler.DensityRatio, (g, q) => Peeler.ncaDR(g, q)))) {
     test(s"$name equals the reference peel when its top-ranked node is a cut vertex") {
       val r = algo(cutTop, Seq(0))
-      val (community, score) = naivePeel(cutTop, Seq(0), Peeler.NonArticulation, goodness, false)
-      assert(r.ok && r.community == community && r.score == score)
+      assert(naivePeel(cutTop, Seq(0), Peeler.NonArticulation, goodness, false).matches(r))
     }
     for (nq <- Seq(1, 2)) {
       test(s"$name equals the reference peel on LFR(300), |Q|=$nq") {
         for ((g, q) <- lfrCases(nq)) {
           val r = algo(g, q)
-          val (community, score) = naivePeel(g, q, Peeler.NonArticulation, goodness, false)
-          assert(r.ok && r.community == community && r.score == score, s"q=$q")
+          assert(naivePeel(g, q, Peeler.NonArticulation, goodness, false).matches(r), s"q=$q")
         }
       }
+    }
+  }
+
+  // The farthest-layer variants at depth: several protected paths, and S
+  // started at the chosen prefix rather than peeled down to it.
+  for ((name, _, goodness, prune, algo) <- referenced.take(3); nq <- Seq(2, 4, 8)) {
+    test(s"$name equals the reference peel on LFR(300), |Q|=$nq") {
+      for (seed <- 1 to 3) {
+        val g = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = seed).graph
+        val rnd = new Random(seed * 19 + nq)
+        val q = Seq.fill(nq)(rnd.nextInt(g.n)).distinct
+        assert(naivePeel(g, q, Peeler.FarthestLayer, goodness, prune).matches(algo(g, q)), s"q=$q")
+      }
+    }
+  }
+  // Q is a whole 6-clique of the ring, which layer 1 only dilutes; in K5 from
+  // one node the best prefix is the whole graph.
+  private val prefixEnds = Seq(
+    ("layer 0", GraphGen.ringOfCliques(30, 6), 12 until 18, 0),
+    ("the last layer", LocalGraph.fromEdges(5, for { i <- 0 until 5; j <- i + 1 until 5 } yield (i, j)),
+      Seq(0), 1))
+  for ((name, _, goodness, _, algo) <- referenced.slice(1, 3); (where, g, q, t) <- prefixEnds) {
+    test(s"$name equals the reference peel when the best prefix is $where") {
+      val ref = naivePeel(g, q, Peeler.FarthestLayer, goodness, layerPrune = true)
+      assert(ref.prefix == t && ref.matches(algo(g, q)))
+    }
+  }
+
+  test("three queries with one in another component fail, also when duplicated") {
+    val g = LocalGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 3), (4, 5), (5, 6)))
+    for (q <- Seq(Seq(0, 3, 5), Seq(0, 5, 3), Seq(0, 5, 5), Seq(0, 3, 5, 5)); (name, algo) <- variants)
+      assert(!algo(g, q).ok, s"$name q=$q")
+    for (q <- Seq(Seq(0, 3, 3), Seq(0, 0, 2)); (name, algo) <- variants) {
+      val r = algo(g, q)
+      assert(r.ok && q.forall(r.community.contains), s"$name q=$q")
     }
   }
 

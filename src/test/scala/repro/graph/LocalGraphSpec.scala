@@ -102,6 +102,85 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(g.componentOf(5).toSet == Set(5))
   }
 
+  // The early-exit parents and the layered BFS against the full-graph
+  // kernels they replace in a query, on the LFR(300) graphs of PeelerSpec.
+  private def lfrQueries(seed: Int, nq: Int): (LocalGraph, Seq[Int]) = {
+    val g = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = seed).graph
+    val rnd = new Random(seed * 7 + nq)
+    (g, Seq.fill(nq)(rnd.nextInt(g.n)))
+  }
+  private def protectedBy(q: Seq[Int], parents: Array[Int]): Set[Long] =
+    repro.core.Peeler.protectPaths(q.map(_.toLong), v => parents(v.toInt)).toSet
+
+  for (seed <- 1 to 3; nq <- Seq(2, 4, 8)) {
+    test(s"bfsParentsTo protects the paths of the full bfsParents, LFR seed=$seed |Q|=$nq") {
+      val (g, q) = lfrQueries(seed, nq)
+      val full = g.bfsParents(q.head)
+      g.bfsParentsTo(q.head, q.tail) match {
+        case Some(early) => assert(protectedBy(q, early) == protectedBy(q, full), s"q=$q")
+        case None => assert(q.exists(v => v != q.head && full(v) == -1), s"q=$q")
+      }
+    }
+  }
+
+  test("bfsParentsTo stops after the layer before the farthest target") {
+    val g = path(10)
+    val p = g.bfsParentsTo(0, Seq(3, 2)).get
+    assert((1 to 3).forall(v => p(v) == v - 1))
+    assert((4 until 10).forall(p(_) == -1))
+    assert(g.bfsParentsTo(0, Seq(0)).get.forall(_ == -1))
+  }
+
+  test("bfsParentsTo keeps the min-id parent of a target's layer") {
+    // as above: 5 is reached from 4 first, and 3 is the smaller parent
+    val g = LocalGraph.fromEdges(6, Seq((0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)))
+    assert(g.bfsParentsTo(0, Seq(5)).get(5) == 3)
+  }
+
+  test("bfsParentsTo reports an unreached target, also among duplicates") {
+    val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
+    assert(g.bfsParentsTo(0, Seq(2, 2)).isDefined)
+    assert(g.bfsParentsTo(0, Seq(2, 1, 2, 0)).isDefined)
+    assert(g.bfsParentsTo(0, Seq(1, 4)).isEmpty)
+    assert(g.bfsParentsTo(0, Seq(4, 4)).isEmpty)
+    assert(g.bfsParentsTo(0, Seq(5)).isEmpty)
+  }
+
+  /** The per-layer pass that `bfsLayers` folds into its BFS. */
+  private def separateLayerStats(g: LocalGraph, dist: Array[Int]): Seq[(Long, Long, Long)] = {
+    val layers = dist.max + 1
+    val (nNodes, sumDeg, nEdges) =
+      (new Array[Long](layers), new Array[Long](layers), new Array[Long](layers))
+    for (u <- 0 until g.n if dist(u) >= 0) {
+      nNodes(dist(u)) += 1; sumDeg(dist(u)) += g.degree(u)
+      for (w <- g.adj(u) if w > u) nEdges(math.max(dist(u), dist(w))) += 1
+    }
+    (0 until layers).map(t => (nNodes(t), sumDeg(t), nEdges(t)))
+  }
+
+  for (seed <- 1 to 3; nq <- Seq(1, 2, 4, 8)) {
+    test(s"bfsLayers equals bfsDist and the separate layer pass, LFR seed=$seed |Q|=$nq") {
+      val (g, q) = lfrQueries(seed, nq)
+      val l = g.bfsLayers(q)
+      val dist = g.bfsDist(q)
+      assert(l.dist.toSeq == dist.toSeq)
+      val order = l.order.take(l.reached).toSeq
+      assert(order.toSet == (0 until g.n).filter(dist(_) >= 0).toSet)
+      assert(order.map(dist(_)) == order.map(dist(_)).sorted, "order must be sorted by layer")
+      assert(l.nNodes.indices.map(t => (l.nNodes(t), l.sumDeg(t), l.nEdges(t))) ==
+        separateLayerStats(g, dist))
+    }
+  }
+
+  test("bfsLayers on a node without edges and across components") {
+    val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
+    val one = g.bfsLayers(Seq(5))
+    assert(one.reached == 1 && one.order(0) == 5)
+    assert((one.nNodes.toSeq, one.sumDeg.toSeq, one.nEdges.toSeq) == (Seq(1L), Seq(0L), Seq(0L)))
+    val two = g.bfsLayers(Seq(0, 4, 0))
+    assert(two.reached == 5 && two.nNodes.toSeq == Seq(2L, 2L, 1L) && two.nEdges.toSeq == Seq(0L, 2L, 1L))
+  }
+
   test("isConnected") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (2, 3)))
     assert(g.isConnected(mutable.BitSet(0, 1)))
