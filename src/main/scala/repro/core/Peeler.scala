@@ -13,6 +13,13 @@ import scala.collection.mutable
   *   NCA = (a)+(c), NCA-DR = (a)+(d), FPA-DMG = (b)+(c)+prune,
   *   FPA = (b)+(d)+prune, FPA-noprune = (b)+(d).
   *
+  * `peel` is one loop over the two functions. The removable-node rule fills
+  * a pool: (a) S minus the protected nodes, whose top node must pass
+  * `CutCheck.bestNonCut`; (b) the outermost layer of S that is left. The
+  * best-node rule ranks the pool in one order (higher score, then farther,
+  * then smaller id): Λ by a scan, as it moves with d_S; Θ by a lazy heap, as
+  * Θ_v moves only when a neighbour of v leaves S.
+  *
   * `run` prepares the query side (same-component check, protected paths,
   * distances, layer stats and the prefix choice) and hands the chosen
   * members to `peel`, which the Spark pipeline also calls on the distance
@@ -35,18 +42,21 @@ object Peeler {
   val GmdObjective: Objective = (l, d, s, m) => Modularity.gmd(l, d, s, m)
 
   final case class Result(community: Set[Int], score: Double, removed: Int,
-                          millis: Long, ok: Boolean, note: String = "")
+                          ok: Boolean, note: String = "")
 
-  private final case class Entry(r: Double, v: Int)
-  private val entryOrder: java.util.Comparator[Entry] = (a: Entry, b: Entry) => {
-    val c = java.lang.Double.compare(b.r, a.r) // max-heap on ratio
-    if (c != 0) c else Integer.compare(a.v, b.v) // then smaller id first
+  /** The best-node order, negative when node a (score sa, distance da)
+    * ranks before node b: higher score, then farther, then smaller id.
+    */
+  private def order(sa: Double, da: Int, a: Int, sb: Double, db: Int, b: Int): Int = {
+    val c = java.lang.Double.compare(sb, sa)
+    if (c != 0) c else if (da != db) Integer.compare(db, da) else Integer.compare(a, b)
   }
+  private final case class Entry(r: Double, d: Int, v: Int)
+  private val entryOrder: java.util.Comparator[Entry] =
+    (a: Entry, b: Entry) => order(a.r, a.d, a.v, b.r, b.d, b.v)
 
   def run(g: LocalGraph, queries: Seq[Int], rule: RemovableRule, goodness: Goodness,
           layerPrune: Boolean, objective: Objective = DmObjective): Result = {
-    val t0 = System.nanoTime()
-    def elapsedMs: Long = (System.nanoTime() - t0) / 1000000L
     require(queries.nonEmpty, "need at least one query node")
     queries.foreach(q => require(q >= 0 && q < g.n, s"query $q out of range [0,${g.n})"))
 
@@ -55,7 +65,7 @@ object Peeler {
     val prot = mutable.BitSet.empty ++= queries
     if (queries.length > 1) g.bfsParentsTo(queries.head, queries.tail) match {
       case None =>
-        return Result(queries.toSet, Double.NaN, 0, elapsedMs, ok = false,
+        return Result(queries.toSet, Double.NaN, 0, ok = false,
           "query nodes are not in the same connected component")
       case Some(parents) =>
         if (rule == FarthestLayer)
@@ -72,7 +82,7 @@ object Peeler {
     val size = if (prefix < 0) layers.reached else layers.nNodes.iterator.take(prefix + 1).sum.toInt
     val res = peel(g, g.degree, g.m, prot, java.util.Arrays.copyOf(layers.order, size), layers.dist,
       rule, goodness, objective, prefix)
-    res.copy(removed = res.removed + layers.reached - size, millis = elapsedMs)
+    res.copy(removed = res.removed + layers.reached - size)
   }
 
   /** Section 5.6: the queries plus every node on the BFS-tree path from each
@@ -115,115 +125,94 @@ object Peeler {
   private[core] def peel(g: LocalGraph, deg: Array[Int], mE: Long, prot: mutable.BitSet,
                          members: Array[Int], dist: Array[Int], rule: RemovableRule,
                          goodness: Goodness, objective: Objective, prefix: Int): Result = {
-    // incremental state: S, k_{v,S}, l_S, d_S, |S|
+    // incremental state: S, k_{v,S} (-1 once v has left S), l_S, d_S, |S|
     val s = mutable.BitSet.empty ++= members
     val kv = new Array[Int](g.n)
     var lS = 0L; var dS = 0L
-    members.foreach { v =>
-      kv(v) = g.degreeWithin(v, s); lS += kv(v); dS += deg(v)
-    }
+    members.foreach { v => kv(v) = g.degreeWithin(v, s); lS += kv(v); dS += deg(v) }
     lS /= 2
     var size = members.length.toLong
+    val removed = new Array[Int](members.length); var nRemoved = 0
+    var bestScore = objective(lS, dS, size, mE); var bestCount = 0
 
-    val removed = mutable.ArrayBuffer.empty[Int]
-    var bestScore = objective(lS, dS, size, mE)
-    var bestCount = 0
+    // removable-node rule: S minus `prot`, or S's layer `layer`
+    val nca = rule == NonArticulation
+    var layer = if (nca) 0 else members.map(dist).max + 1 // counts down to max(1, prefix)
+    def pooled(v: Int): Boolean = if (nca) !prot.contains(v) else dist(v) == layer // prot(v) would box v
+    // the pool is pool(0 until hi) less the nodes removed since the last
+    // scan; `left` of them are still in S
+    val pool = new Array[Int](members.length); var hi = 0; var left = 0
 
-    def removeNode(v: Int): Unit = {
-      s -= v
-      lS -= kv(v)
-      dS -= deg(v)
-      size -= 1
+    // best-node rule: Θ's heap holds an entry per pool node, plus stale ones.
+    // Θ_v only grows as S shrinks, so v's latest entry ranks above its older
+    // ones, and those are polled only after v has left S.
+    val heap = if (goodness == DMGain) null
+      else new java.util.PriorityQueue[Entry](math.max(1, members.length), entryOrder)
+    def push(v: Int): Unit = heap.add(Entry(Modularity.ratio(deg(v), kv(v)), dist(v), v))
+    def fill(): Unit = {
+      hi = 0
+      members.foreach(v => if (pooled(v)) { pool(hi) = v; hi += 1; if (heap != null) push(v) })
+      left = hi
+    }
+    /** The best pool node passing `ok`, or -1; drops the removed nodes. */
+    def scan(ok: Int => Boolean): Int = {
+      var bestV = -1; var bestSc = 0.0; var bestD = 0
+      var i = 0; var j = 0
+      while (i < hi) {
+        val v = pool(i); i += 1
+        if (kv(v) >= 0) {
+          pool(j) = v; j += 1
+          val sc = if (heap == null) Modularity.gain(kv(v), deg(v), dS, mE)
+            else Modularity.ratio(deg(v), kv(v))
+          if ((bestV == -1 || order(sc, dist(v), v, bestSc, bestD, bestV) < 0) && ok(v)) {
+            bestV = v; bestSc = sc; bestD = dist(v)
+          }
+        }
+      }
+      hi = j
+      bestV
+    }
+    def best(ok: Int => Boolean): Int =
+      if (left == 0) -1
+      else if (heap == null) scan(ok)
+      else {
+        var e = heap.peek()
+        while (kv(e.v) < 0) { heap.poll(); e = heap.peek() }
+        if (ok(e.v)) e.v else scan(ok)
+      }
+
+    def remove(v: Int): Unit = {
+      if (heap != null && heap.peek().v == v) heap.poll()
+      s -= v; left -= 1
+      lS -= kv(v); dS -= deg(v); size -= 1; kv(v) = -1
       val a = g.adj(v); var i = 0
-      while (i < a.length) { val w = a(i); if (s(w)) kv(w) -= 1; i += 1 }
-      removed += v
-    }
-    def consider(): Unit = {
+      while (i < a.length) {
+        val w = a(i) // k_{w,S} > 0 iff w is in S, as v is
+        if (kv(w) > 0) { kv(w) -= 1; if (heap != null && pooled(w)) push(w) }
+        i += 1
+      }
+      removed(nRemoved) = v; nRemoved += 1
       val sc = objective(lS, dS, size, mE)
-      if (sc >= bestScore) { bestScore = sc; bestCount = removed.length }
+      if (sc >= bestScore) { bestScore = sc; bestCount = nRemoved }
     }
 
-    rule match {
-      case NonArticulation =>
-        // S stays connected: it starts as a whole component and loses only
-        // non-cut nodes, so `bestNonCut` needs to check only the top node
-        val cut = g.cutCheck(s)
-        def rank(ok: Int => Boolean): Int = { // higher score, farther, smaller id
-          var bestV = -1; var bestSc = Double.NegativeInfinity; var bestD = -1
-          s.foreach { v =>
-            if (!prot(v) && ok(v)) {
-              val sc = goodness match {
-                case DMGain => Modularity.gain(kv(v), deg(v), dS, mE)
-                case DensityRatio => Modularity.ratio(deg(v), kv(v))
-              }
-              val better = sc > bestSc ||
-                (sc == bestSc && (dist(v) > bestD || (dist(v) == bestD && v < bestV)))
-              if (better) { bestV = v; bestSc = sc; bestD = dist(v) }
-            }
-          }
-          bestV
-        }
-        var continue = true
-        while (continue) {
-          val bestV = cut.bestNonCut(rank)
-          if (bestV == -1) continue = false
-          else { removeNode(bestV); consider() }
-        }
-
-      case FarthestLayer =>
-        var maxDist = 0
-        members.foreach(v => if (dist(v) > maxDist) maxDist = dist(v))
-        val layers = Array.fill(maxDist + 1)(mutable.ArrayBuffer.empty[Int])
-        members.foreach(v => layers(dist(v)) += v)
-
-        def peelLayer(dlev: Int): Unit = {
-          val cand = mutable.BitSet.empty
-          layers(dlev).foreach(v => if (s(v)) cand += v)
-          goodness match {
-            case DensityRatio =>
-              val pq = new java.util.PriorityQueue[Entry](math.max(1, cand.size), entryOrder)
-              cand.foreach(v => pq.add(Entry(Modularity.ratio(deg(v), kv(v)), v)))
-              while (cand.nonEmpty) {
-                val e = pq.poll()
-                val v = e.v
-                if (cand(v) && e.r == Modularity.ratio(deg(v), kv(v))) {
-                  cand -= v
-                  removeNode(v)
-                  consider()
-                  // Θ is stable: only neighbors of v change; push fresh entries
-                  val a = g.adj(v); var i = 0
-                  while (i < a.length) {
-                    val w = a(i)
-                    if (cand(w)) pq.add(Entry(Modularity.ratio(deg(w), kv(w)), w))
-                    i += 1
-                  }
-                }
-              }
-            case DMGain =>
-              // Λ is unstable (d_S changes globally): rescan every iteration
-              while (cand.nonEmpty) {
-                var bestV = -1; var bestG = Double.NegativeInfinity
-                cand.foreach { v =>
-                  val gn = Modularity.gain(kv(v), deg(v), dS, mE)
-                  if (gn > bestG || (gn == bestG && v < bestV) || bestV == -1) {
-                    bestV = v; bestG = gn
-                  }
-                }
-                cand -= bestV
-                removeNode(bestV)
-                consider()
-              }
-          }
-        }
-
-        // members lie within 0..prefix, so a prefix peels only its last layer
-        var dlev = maxDist
-        while (dlev >= math.max(1, prefix)) { peelLayer(dlev); dlev -= 1 }
-    }
+    // S starts as a whole component under NonArticulation and loses only
+    // non-cut nodes, so `bestNonCut` needs to check only the top node
+    val cut = if (nca) { fill(); g.cutCheck(s) } else null
+    val rank: (Int => Boolean) => Int = best
+    val any: Int => Boolean = _ => true
+    def next(): Int =
+      if (nca) cut.bestNonCut(rank)
+      else {
+        while (left == 0 && layer > math.max(1, prefix)) { layer -= 1; fill() }
+        best(any)
+      }
+    var v = next()
+    while (v != -1) { remove(v); v = next() }
 
     // the best S is the final S plus everything removed after it
-    removed.drop(bestCount).foreach(s += _)
-    Result(s.toSet, bestScore, bestCount, 0L, ok = true)
+    while (nRemoved > bestCount) { nRemoved -= 1; s += removed(nRemoved) }
+    Result(s.toSet, bestScore, bestCount, ok = true)
   }
 
   // ------------------------------------------------------------- presets

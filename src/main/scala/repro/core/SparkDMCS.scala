@@ -25,12 +25,10 @@ import scala.collection.mutable
 object SparkDMCS {
 
   final case class Result(community: Set[Long], dm: Double, chosenLayer: Int,
-                          maxLayer: Int, millis: Long, ok: Boolean, note: String = "")
+                          maxLayer: Int, ok: Boolean, note: String = "")
 
   /** Run distributed FPA over a canonical (src<dst) edge DataFrame. */
   def fpa(spark: SparkSession, edges: DataFrame, queries: Seq[Long]): Result = {
-    val t0 = System.nanoTime()
-    def elapsedMs = (System.nanoTime() - t0) / 1000000L
     require(queries.nonEmpty, "need at least one query node")
 
     val e = edges.select(col("src").cast("long"), col("dst").cast("long")).cache()
@@ -45,7 +43,7 @@ object SparkDMCS {
           .map(r => r.getAs[Long]("node") -> r.getAs[Long]("parent")).toMap
         if (!queries.forall(parents.contains)) {
           e.unpersist(); degs.unpersist()
-          return Result(queries.toSet, Double.NaN, -1, -1, elapsedMs, ok = false,
+          return Result(queries.toSet, Double.NaN, -1, -1, ok = false,
             "query nodes are not in the same connected component")
         }
         Peeler.protectPaths(queries, parents).toSeq
@@ -63,7 +61,7 @@ object SparkDMCS {
     if (layerRows.isEmpty) {
       // the query has no edges, so no `degrees` row: its component is itself
       e.unpersist(); degs.unpersist(); dist.unpersist()
-      return Result(queries.toSet, Modularity.dm(0, 0, 1, mE), 0, 0, elapsedMs, ok = true)
+      return Result(queries.toSet, Modularity.dm(0, 0, 1, mE), 0, 0, ok = true)
     }
     val maxLayer = layerRows.map(_.getAs[Int]("dist")).max
     def perLayer(c: String): Array[Long] = {
@@ -99,6 +97,6 @@ object SparkDMCS {
       Array.range(0, ids.length), distOf, Peeler.FarthestLayer, Peeler.DensityRatio, Peeler.DmObjective, prefix = bestT)
 
     e.unpersist(); degs.unpersist(); dist.unpersist(); keep.unpersist()
-    Result(res.community.map(i => ids(i)), res.score, bestT, maxLayer, elapsedMs, ok = true)
+    Result(res.community.map(i => ids(i)), res.score, bestT, maxLayer, ok = true)
   }
 }

@@ -192,13 +192,16 @@ class PeelerSpec extends AnyFunSuite {
     ("NCA", Peeler.NonArticulation, Peeler.DMGain, false, (g, q) => Peeler.nca(g, q)),
     ("NCA-DR", Peeler.NonArticulation, Peeler.DensityRatio, false, (g, q) => Peeler.ncaDR(g, q)))
 
-  for ((name, rule, goodness, prune, algo) <- referenced; nq <- Seq(1, 3)) {
+  for ((name, rule, goodness, prune, algo) <- referenced; nq <- Seq(1, 2, 3)) {
     test(s"$name equals the from-scratch reference peel, |Q|=$nq") {
-      // the graphs and queries of the invariant tests above
-      val cases =
+      // the graphs and queries of the invariant tests above, and at |Q| <= 2
+      // the ring of cliques, where nearly every score ties
+      val random =
         if (nq == 1) (1 to 6).map(seed => (randomConnected(60, 0.05, seed), new Random(seed * 31)))
-        else (1 to 4).map(seed => (randomConnected(80, 0.04, seed + 77), new Random(seed * 17)))
-      for ((g, rnd) <- cases) {
+        else if (nq == 3) (1 to 4).map(seed => (randomConnected(80, 0.04, seed + 77), new Random(seed * 17)))
+        else Nil
+      val ring = if (nq > 2) Nil else (1 to 3).map(seed => (GraphGen.ringOfCliques(30, 6), new Random(seed * 7 + nq)))
+      for ((g, rnd) <- random ++ ring) {
         val q = Seq.fill(nq)(rnd.nextInt(g.n)).distinct
         val r = algo(g, q)
         assert(naivePeel(g, q, rule, goodness, prune).matches(r), s"q=$q")
