@@ -26,7 +26,8 @@ object LocalModularity {
     def mScore(in: Long, out: Long): Double =
       if (out == 0) Double.PositiveInfinity else in.toDouble / out
 
-    val cut = g.cutCheck(s) // S starts connected and stays so
+    // S starts connected and stays so; the check owns it
+    val cut = g.cutCheck(s, queries.head)
     var changed = true
     var iters = 0
     while (changed && iters < maxIters) {
@@ -45,7 +46,7 @@ object LocalModularity {
       }
       if (bestV != -1 && bestM > mScore(lIn, lOut)) {
         val k = g.degreeWithin(bestV, s)
-        s += bestV; lIn += k; dSum += g.degree(bestV)
+        cut.add(bestV); lIn += k; dSum += g.degree(bestV)
         changed = true
       }
       // deletion phase: best removable member by resulting M
@@ -65,7 +66,7 @@ object LocalModularity {
         }
         if (delV != -1) {
           val k = g.degreeWithin(delV, s)
-          s -= delV; lIn -= k; dSum -= g.degree(delV)
+          cut.remove(delV); lIn -= k; dSum -= g.degree(delV)
           changed = true
         }
       }

@@ -31,7 +31,8 @@ object QueryBiased {
     var bestRho = rho
     var bestCount = 0
 
-    val cut = g.cutCheck(s) // S starts as a component and stays connected
+    // S starts as a component and stays connected; the check owns it
+    val cut = g.cutCheck(s, queries.head)
     var continue = true
     while (continue) {
       val bestV = cut.bestNonCut { ok =>
@@ -46,7 +47,7 @@ object QueryBiased {
       }
       if (bestV == -1) continue = false
       else {
-        s -= bestV
+        cut.remove(bestV)
         lS -= kv(bestV)
         wSum -= weight(bestV)
         g.adj(bestV).foreach(w => if (s(w)) kv(w) -= 1)

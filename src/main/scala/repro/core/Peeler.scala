@@ -17,8 +17,9 @@ import scala.collection.mutable
   * a pool: (a) S minus the protected nodes, whose top node must pass
   * `CutCheck.bestNonCut`; (b) the outermost layer of S that is left. The
   * best-node rule ranks the pool in one order (higher score, then farther,
-  * then smaller id): Λ by a scan, as it moves with d_S; Θ by a lazy heap, as
-  * Θ_v moves only when a neighbour of v leaves S.
+  * then smaller id) with lazy heaps, as k_{v,S} moves only when a neighbour
+  * of v leaves S: Θ in one heap; Λ, which also moves with d_S, in one heap
+  * per global degree, within which it falls as k_{v,S} grows.
   *
   * `run` prepares the query side (same-component check, protected paths,
   * distances, layer stats and the prefix choice) and hands the chosen
@@ -36,7 +37,7 @@ object Peeler {
   case object DensityRatio extends Goodness
 
   /** Selects the best intermediate subgraph from (l, d, |S|, |E|). */
-  type Objective = (Long, Long, Long, Long) => Double
+  trait Objective extends Serializable { def apply(l: Long, d: Long, s: Long, m: Long): Double }
   val DmObjective: Objective = (l, d, s, m) => Modularity.dm(l, d, s, m)
   val CmObjective: Objective = (l, d, s, m) => Modularity.cm(l, d, m)
   val GmdObjective: Objective = (l, d, s, m) => Modularity.gmd(l, d, s, m)
@@ -128,67 +129,99 @@ object Peeler {
     // incremental state: S, k_{v,S} (-1 once v has left S), l_S, d_S, |S|
     val s = mutable.BitSet.empty ++= members
     val kv = new Array[Int](g.n)
-    var lS = 0L; var dS = 0L
-    members.foreach { v => kv(v) = g.degreeWithin(v, s); lS += kv(v); dS += deg(v) }
+    var lS = 0L; var dS = 0L; var maxDeg = 0
+    members.foreach { v =>
+      kv(v) = g.degreeWithin(v, s); lS += kv(v); dS += deg(v); maxDeg = math.max(maxDeg, deg(v))
+    }
     lS /= 2
     var size = members.length.toLong
     val removed = new Array[Int](members.length); var nRemoved = 0
     var bestScore = objective(lS, dS, size, mE); var bestCount = 0
 
-    // removable-node rule: S minus `prot`, or S's layer `layer`
+    // removable-node rule: S minus `prot`, or S's layer `layer`; `left` of
+    // the pool are still in S
     val nca = rule == NonArticulation
     var layer = if (nca) 0 else members.map(dist).max + 1 // counts down to max(1, prefix)
     def pooled(v: Int): Boolean = if (nca) !prot.contains(v) else dist(v) == layer // prot(v) would box v
-    // the pool is pool(0 until hi) less the nodes removed since the last
-    // scan; `left` of them are still in S
-    val pool = new Array[Int](members.length); var hi = 0; var left = 0
+    var left = 0
 
-    // best-node rule: Θ's heap holds an entry per pool node, plus stale ones.
-    // Θ_v only grows as S shrinks, so v's latest entry ranks above its older
-    // ones, and those are polled only after v has left S.
-    val heap = if (goodness == DMGain) null
-      else new java.util.PriorityQueue[Entry](math.max(1, members.length), entryOrder)
-    def push(v: Int): Unit = heap.add(Entry(Modularity.ratio(deg(v), kv(v)), dist(v), v))
-    def fill(): Unit = {
-      hi = 0
-      members.foreach(v => if (pooled(v)) { pool(hi) = v; hi += 1; if (heap != null) push(v) })
-      left = hi
-    }
-    /** The best pool node passing `ok`, or -1; drops the removed nodes. */
-    def scan(ok: Int => Boolean): Int = {
-      var bestV = -1; var bestSc = 0.0; var bestD = 0
-      var i = 0; var j = 0
-      while (i < hi) {
-        val v = pool(i); i += 1
-        if (kv(v) >= 0) {
-          pool(j) = v; j += 1
-          val sc = if (heap == null) Modularity.gain(kv(v), deg(v), dS, mE)
-            else Modularity.ratio(deg(v), kv(v))
-          if ((bestV == -1 || order(sc, dist(v), v, bestSc, bestD, bestV) < 0) && ok(v)) {
-            bestV = v; bestSc = sc; bestD = dist(v)
-          }
-        }
+    // best-node rule: lazy heaps of the pool, in `order`, where each change
+    // of k_{v,S} pushes v's fresh entry.
+    //  - Θ: one heap. Θ_v only grows as S shrinks, so v's fresh entry ranks
+    //    above its older ones, and those reach the top only after v has
+    //    left S.
+    //  - Λ: one heap per global degree, with entries scored -k_{v,S}. For a
+    //    fixed d_v, Λ_v strictly falls as k_{v,S} grows, whatever d_S is, so
+    //    a heap ranks its class by Λ, and Λ is computed only at the class
+    //    tops. An entry is stale once its k is not v's; k only falls, so a
+    //    stale entry ranks below v's fresh one.
+    val dmg = goodness == DMGain
+    val heaps = new Array[java.util.PriorityQueue[Entry]](if (dmg) maxDeg + 1 else 1)
+    val classes = mutable.ArrayBuffer.empty[java.util.PriorityQueue[Entry]] // the heaps made
+    def heapOf(v: Int): java.util.PriorityQueue[Entry] = {
+      val c = if (dmg) deg(v) else 0
+      if (heaps(c) == null) {
+        heaps(c) = new java.util.PriorityQueue[Entry](if (dmg) 11 else math.max(1, members.length), entryOrder)
+        classes += heaps(c)
       }
-      hi = j
-      bestV
+      heaps(c)
     }
+    def push(v: Int): Unit = heapOf(v).add(
+      if (dmg) Entry(-kv(v), dist(v), v) else Entry(Modularity.ratio(deg(v), kv(v)), dist(v), v))
+    def stale(e: Entry): Boolean = if (dmg) kv(e.v) != -e.r else kv(e.v) < 0
+    def fill(): Unit = {
+      left = 0
+      members.foreach(v => if (pooled(v)) { left += 1; push(v) })
+    }
+    /** The top live entry of `h` whose node passes `ok`, or null. Stale
+      * entries are dropped; live ones that fail `ok` are put back.
+      */
+    def top(h: java.util.PriorityQueue[Entry], ok: Int => Boolean): Entry = {
+      var held: List[Entry] = Nil
+      var e = h.peek()
+      while (e != null && (stale(e) || !ok(e.v))) {
+        h.poll(); if (!stale(e)) held ::= e
+        e = h.peek()
+      }
+      while (held.nonEmpty) { h.add(held.head); held = held.tail }
+      e
+    }
+    /** The best pool node passing `ok`, or -1: Θ's heap top, or the best
+      * of the Λ class tops.
+      */
     def best(ok: Int => Boolean): Int =
       if (left == 0) -1
-      else if (heap == null) scan(ok)
+      else if (!dmg) { val e = top(heaps(0), ok); if (e == null) -1 else e.v }
       else {
-        var e = heap.peek()
-        while (kv(e.v) < 0) { heap.poll(); e = heap.peek() }
-        if (ok(e.v)) e.v else scan(ok)
+        var bestV = -1; var bestSc = 0.0; var bestD = 0
+        var i = 0
+        while (i < classes.length) {
+          val e = top(classes(i), ok)
+          if (e != null) {
+            val sc = Modularity.gain(kv(e.v), deg(e.v), dS, mE)
+            if (bestV == -1 || order(sc, e.d, e.v, bestSc, bestD, bestV) < 0) {
+              bestV = e.v; bestSc = sc; bestD = e.d
+            }
+          }
+          i += 1
+        }
+        bestV
       }
 
+    // S starts as a whole component under NonArticulation and loses only
+    // non-cut nodes, so `bestNonCut` needs to check only the top node; the
+    // check owns S, rooted at a query
+    val cut = if (nca) { fill(); g.cutCheck(s, prot.head) } else null
     def remove(v: Int): Unit = {
-      if (heap != null && heap.peek().v == v) heap.poll()
-      s -= v; left -= 1
+      val h = heapOf(v)
+      if (h.peek().v == v) h.poll()
+      if (nca) cut.remove(v) else s -= v
+      left -= 1
       lS -= kv(v); dS -= deg(v); size -= 1; kv(v) = -1
       val a = g.adj(v); var i = 0
       while (i < a.length) {
         val w = a(i) // k_{w,S} > 0 iff w is in S, as v is
-        if (kv(w) > 0) { kv(w) -= 1; if (heap != null && pooled(w)) push(w) }
+        if (kv(w) > 0) { kv(w) -= 1; if (pooled(w)) push(w) }
         i += 1
       }
       removed(nRemoved) = v; nRemoved += 1
@@ -196,9 +229,6 @@ object Peeler {
       if (sc >= bestScore) { bestScore = sc; bestCount = nRemoved }
     }
 
-    // S starts as a whole component under NonArticulation and loses only
-    // non-cut nodes, so `bestNonCut` needs to check only the top node
-    val cut = if (nca) { fill(); g.cutCheck(s) } else null
     val rank: (Int => Boolean) => Int = best
     val any: Int => Boolean = _ => true
     def next(): Int =

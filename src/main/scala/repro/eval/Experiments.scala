@@ -222,7 +222,7 @@ object Experiments {
 
   // ------------------------------------------------- Fig 11: scalability
   def scalability(spark: SparkSession, sizes: Seq[Int] = Seq(10000, 25000, 50000, 100000),
-                  ncaUpTo: Int = 10000, seed: Long = 44): String = {
+                  ncaUpTo: Int = 25000, seed: Long = 44): String = {
     val rows = mutable.ArrayBuffer.empty[Seq[String]]
     for (n <- sizes) {
       val gt = GraphGen.lfr(n, 20.0, 200, 0.4, 20, 1000, seed)

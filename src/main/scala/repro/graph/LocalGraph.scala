@@ -186,53 +186,166 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
     val low = new Array[Int](n)
     val parent = Array.fill(n)(-1)
     val childIdx = new Array[Int](n)
+    val stack = new Array[Int](n)
     val art = mutable.BitSet.empty
     var timer = 0
-    val stack = new mutable.ArrayBuffer[Int]()
-    for (root <- members) if (disc(root) == -1) {
-      var rootChildren = 0
-      disc(root) = timer; low(root) = timer; timer += 1
-      stack += root
-      while (stack.nonEmpty) {
-        val u = stack(stack.length - 1)
-        var advanced = false
-        while (!advanced && childIdx(u) < adj(u).length) {
-          val v = adj(u)(childIdx(u)); childIdx(u) += 1
-          if (members(v)) {
-            if (disc(v) == -1) {
-              parent(v) = u
-              if (u == root) rootChildren += 1
-              disc(v) = timer; low(v) = timer; timer += 1
-              stack += v; advanced = true
-            } else if (v != parent(u)) {
-              if (disc(v) < low(u)) low(u) = disc(v)
+    var root = 0
+    while (root < n) {
+      if (members.contains(root) && disc(root) == -1) {
+        var rootChildren = 0
+        disc(root) = timer; low(root) = timer; timer += 1
+        stack(0) = root
+        var depth = 1
+        while (depth > 0) {
+          val u = stack(depth - 1)
+          var advanced = false
+          while (!advanced && childIdx(u) < adj(u).length) {
+            val v = adj(u)(childIdx(u)); childIdx(u) += 1
+            if (members.contains(v)) {
+              if (disc(v) == -1) {
+                parent(v) = u
+                if (u == root) rootChildren += 1
+                disc(v) = timer; low(v) = timer; timer += 1
+                stack(depth) = v; depth += 1; advanced = true
+              } else if (v != parent(u)) {
+                if (disc(v) < low(u)) low(u) = disc(v)
+              }
+            }
+          }
+          if (!advanced) {
+            depth -= 1
+            val p = parent(u)
+            if (p != -1) {
+              if (low(u) < low(p)) low(p) = low(u)
+              if (p != root && low(u) >= disc(p)) art.addOne(p)
             }
           }
         }
-        if (!advanced) {
-          stack.remove(stack.length - 1)
-          val p = parent(u)
-          if (p != -1) {
-            if (low(u) < low(p)) low(p) = low(u)
-            if (p != root && low(u) >= disc(p)) art += p
-          }
-        }
+        if (rootChildren >= 2) art.addOne(root)
       }
-      if (rootChildren >= 2) art += root
+      root += 1
     }
     art
   }
 
-  /** Removal checks on a connected member set that a caller changes one node
-    * at a time (a peel). Its work arrays are allocated once, and each check
-    * stamps them with a fresh epoch instead of clearing them.
+  /** Removal checks on a connected member set that changes one node at a
+    * time (a peel, or a search that also adds nodes). The check owns the
+    * changes: `remove` and `add` update `members` and a spanning tree of it
+    * rooted at `root`, which is never removed. Its work arrays are allocated
+    * once, and each search stamps them with a fresh epoch instead of
+    * clearing them.
     */
-  def cutCheck(members: mutable.BitSet): CutCheck = new CutCheck(members)
+  def cutCheck(members: mutable.BitSet, root: Int): CutCheck = new CutCheck(members, root)
 
-  final class CutCheck private[LocalGraph] (members: mutable.BitSet) {
+  final class CutCheck private[LocalGraph] (members: mutable.BitSet, root: Int) {
+    require(members.contains(root), s"root $root is not a member")
+    // the spanning tree: each member's parent (-1 at the root), its number
+    // of tree children, and a label that strictly grows from parent to
+    // child (the BFS depth when the tree is built)
+    private val parent = new Array[Int](n)
+    private val children = new Array[Int](n)
+    private val label = new Array[Int](n)
     private val stamp = new Array[Int](n)
     private val queue = new Array[Int](n)
     private var epoch = 0
+    // how each `bestNonCut` was answered, and how often the tree was
+    // repaired or rebuilt
+    private[graph] var leaves, anchors, searches, fallbacks, repairs, rebuilds = 0
+    build()
+
+    private[graph] def parentOf(v: Int): Int = parent(v)
+    private[graph] def labelOf(v: Int): Int = label(v)
+    private[graph] def childCount(v: Int): Int = children(v)
+
+    /** Builds the tree by a BFS from the root inside `members`. */
+    private def build(): Unit = {
+      epoch += 1
+      val seen = 2 * epoch + 1
+      parent(root) = -1; children(root) = 0; label(root) = 0
+      stamp(root) = seen; queue(0) = root
+      var head = 0; var tail = 1
+      while (head < tail) {
+        val u = queue(head); head += 1
+        val a = adj(u); var i = 0
+        while (i < a.length) {
+          val w = a(i)
+          if (stamp(w) != seen && members.contains(w)) {
+            stamp(w) = seen; parent(w) = u; children(w) = 0; label(w) = label(u) + 1
+            children(u) += 1; queue(tail) = w; tail += 1
+          }
+          i += 1
+        }
+      }
+    }
+
+    /** A member neighbour of c other than v whose label is at most v's, or
+      * -1. Labels grow down the tree, so it lies outside v's subtree.
+      */
+    private def anchor(c: Int, v: Int): Int = {
+      val a = adj(c); val lv = label(v); var i = 0
+      while (i < a.length) {
+        val x = a(i)
+        if (x != v && label(x) <= lv && members.contains(x)) return x
+        i += 1
+      }
+      -1
+    }
+
+    /** Whether every tree child of member v has an anchor: then each child
+      * subtree reattaches outside v's subtree, and `members` - v stays
+      * connected.
+      */
+    private def anchored(v: Int): Boolean = {
+      val a = adj(v); var left = children(v); var i = 0
+      while (left > 0 && i < a.length) {
+        val c = a(i)
+        if (parent(c) == v && members.contains(c)) {
+          if (anchor(c, v) == -1) return false
+          left -= 1
+        }
+        i += 1
+      }
+      true
+    }
+
+    /** Removes member v, whose removal keeps `members` connected. A leaf
+      * leaves its parent. Otherwise each child moves under its anchor, or,
+      * if some child has none, the tree is built again.
+      */
+    def remove(v: Int): Unit = {
+      require(v != root && members.contains(v), s"$v is the root or not a member")
+      val rebuild = children(v) > 0 && !anchored(v)
+      if (!rebuild) {
+        if (children(v) > 0) {
+          val a = adj(v); var i = 0
+          while (i < a.length) {
+            val c = a(i)
+            if (parent(c) == v && members.contains(c)) {
+              val x = anchor(c, v)
+              parent(c) = x; children(x) += 1
+            }
+            i += 1
+          }
+          repairs += 1
+        }
+        children(parent(v)) -= 1
+      }
+      members.subtractOne(v)
+      if (rebuild) { rebuilds += 1; build() }
+    }
+
+    /** Adds v, a non-member with a member neighbour, as a tree leaf under
+      * its first member neighbour.
+      */
+    def add(v: Int): Unit = {
+      require(!members.contains(v), s"$v is a member")
+      val a = adj(v); var i = 0
+      while (i < a.length && !members.contains(a(i))) i += 1
+      require(i < a.length, s"$v has no member neighbour")
+      val x = a(i)
+      parent(v) = x; children(v) = 0; label(v) = label(x) + 1; children(x) += 1
+      members.addOne(v)
+    }
 
     /** Whether `members` - v stays connected, for a connected `members`
       * holding v: a BFS inside `members` - v from one member neighbour of v
@@ -244,7 +357,7 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
       val a = adj(v); var k = 0; var i = 0
       while (i < a.length) {
         val w = a(i)
-        if (members(w)) { stamp(w) = nbr; queue(k) = w; k += 1 }
+        if (members.contains(w)) { stamp(w) = nbr; queue(k) = w; k += 1 }
         i += 1
       }
       if (k <= 1) return true
@@ -256,7 +369,7 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
         var j = 0
         while (j < b.length) {
           val w = b(j)
-          if (stamp(w) != seen && members(w)) {
+          if (stamp(w) != seen && members.contains(w)) {
             if (stamp(w) == nbr) { found += 1; if (found == k) return true }
             stamp(w) = seen; queue(tail) = w; tail += 1
           }
@@ -268,17 +381,22 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) extends 
 
     /** The member that ranks first among those whose removal keeps
       * `members` connected, or -1 if there is none. `rank(ok)` is the
-      * caller's ranking scan: its best member passing `ok`, or -1. Only the
-      * top-ranked member is checked; the articulation points of `members`
-      * are computed, and the scan run again without them, only when that
-      * member is one of them.
+      * caller's ranking: its best member passing `ok`, or -1. Only the
+      * top-ranked member is checked: it is non-cut if it is a tree leaf, if
+      * all its tree children are anchored, or if `keepsConnected` says so.
+      * Otherwise the articulation points of `members` are computed, and the
+      * ranking run again without them.
       */
     def bestNonCut(rank: (Int => Boolean) => Int): Int = {
       val top = rank(_ => true)
-      if (top == -1 || keepsConnected(top)) top
+      if (top == -1) top
+      else if (children(top) == 0) { leaves += 1; top }
+      else if (anchored(top)) { anchors += 1; top }
+      else if (keepsConnected(top)) { searches += 1; top }
       else {
+        fallbacks += 1
         val art = articulationPoints(members)
-        rank(!art(_))
+        rank(v => !art.contains(v))
       }
     }
   }

@@ -246,9 +246,41 @@ class LocalGraphSpec extends AnyFunSuite {
   private def assertCutCheck(g: LocalGraph, members: mutable.BitSet): Unit = {
     assert(g.isConnected(members))
     val art = g.articulationPoints(members)
-    val cut = g.cutCheck(members)
+    val cut = g.cutCheck(members, members.head)
     members.foreach(v => assert(cut.keepsConnected(v) == !art(v), s"v=$v of $members"))
   }
+  /** The check's tree spans `members`: every parent is an adjacent member
+    * with a smaller label, every chain reaches the root, and each child
+    * count is right.
+    */
+  private def assertTree(g: LocalGraph, cut: LocalGraph#CutCheck, members: mutable.BitSet, root: Int): Unit = {
+    assert(cut.parentOf(root) == -1)
+    val kids = mutable.Map.empty[Int, Int].withDefaultValue(0)
+    members.foreach { v =>
+      if (v != root) {
+        val p = cut.parentOf(v)
+        assert(members(p) && g.hasEdge(p, v), s"parent $p of $v")
+        assert(cut.labelOf(p) < cut.labelOf(v), s"labels of $p -> $v")
+        kids(p) += 1
+        var u = v; var steps = 0
+        while (u != root && steps <= members.size) { u = cut.parentOf(u); steps += 1 }
+        assert(u == root, s"$v does not reach the root")
+      }
+    }
+    members.foreach(v => assert(cut.childCount(v) == kids(v), s"children of $v"))
+  }
+  /** bestNonCut and keepsConnected against Hopcroft–Tarjan, with the members
+    * ranked in a random order.
+    */
+  private def assertChecks(g: LocalGraph, cut: LocalGraph#CutCheck, members: mutable.BitSet, rnd: Random): Unit = {
+    val art = g.articulationPoints(members)
+    members.foreach(v => assert(cut.keepsConnected(v) == !art(v), s"v=$v"))
+    val order = rnd.shuffle(members.toSeq)
+    val rank: (Int => Boolean) => Int = ok => order.find(ok).getOrElse(-1)
+    assert(cut.bestNonCut(rank) == rank(!art(_)), s"order=$order")
+  }
+  /** Ranks the given members first, in that order. */
+  private def prefer(vs: Int*): (Int => Boolean) => Int = ok => vs.find(ok).getOrElse(-1)
 
   for ((name, g) <- Seq("path" -> path(7), "cycle" -> cycle(7), "star" -> star(7),
       "barbell" -> barbell(4), "two-node" -> path(2))) {
@@ -271,13 +303,80 @@ class LocalGraphSpec extends AnyFunSuite {
       assertCutCheck(g, members)
       assertCutCheck(g, g.componentOf(0))
       // one check object stays exact while a peel removes non-cut members
-      val cut = g.cutCheck(members)
+      val root = members.head
+      val cut = g.cutCheck(members, root)
       while (members.size > 1) {
+        assertTree(g, cut, members, root)
+        assertChecks(g, cut, members, rnd)
         val art = g.articulationPoints(members)
-        members.foreach(v => assert(cut.keepsConnected(v) == !art(v), s"v=$v"))
-        members -= members.filterNot(art).toSeq(rnd.nextInt(members.size - art.size))
+        val nonCut = members.filterNot(v => art(v) || v == root).toSeq
+        cut.remove(nonCut(rnd.nextInt(nonCut.size)))
       }
+      assertTree(g, cut, members, root)
     }
+  }
+
+  for (seed <- 1 to 6; (density, p) <- Seq("sparse" -> 0.05, "dense" -> 0.2)) {
+    test(s"cutCheck keeps a spanning tree through random adds and removes, $density seed=$seed") {
+      val g = randomGraph(60, p, seed + 300)
+      val rnd = new Random(seed)
+      val root = g.componentOf(0).maxBy(g.degree(_))
+      val members = mutable.BitSet(root)
+      val cut = g.cutCheck(members, root)
+      for (_ <- 1 to 150) {
+        val art = g.articulationPoints(members)
+        val nonCut = members.filterNot(v => art(v) || v == root).toSeq
+        val outside = members.toSeq.flatMap(g.adj(_)).filterNot(members).distinct.sorted
+        if (outside.nonEmpty && (nonCut.isEmpty || rnd.nextDouble() < 0.6))
+          cut.add(outside(rnd.nextInt(outside.size)))
+        else if (nonCut.nonEmpty) cut.remove(nonCut(rnd.nextInt(nonCut.size)))
+        assertTree(g, cut, members, root)
+        assertChecks(g, cut, members, rnd)
+      }
+      assert(cut.repairs + cut.rebuilds > 0 && cut.leaves > 0)
+    }
+  }
+
+  // A 6-cycle rooted at 0 with the path 3-6-7 hanging off it. The BFS tree
+  // is 0-1-2-3-6-7 and 0-5-4, labelled by depth.
+  private val cycleTail = LocalGraph.fromEdges(8, (0 until 6).map(i => (i, (i + 1) % 6)) ++ Seq((3, 6), (6, 7)))
+
+  test("bestNonCut answers by leaf, anchor, search or articulation points") {
+    val g = cycleTail
+    val members = allBits(8)
+    val cut = g.cutCheck(members, 0)
+    assert(cut.labelOf(3) == 3 && cut.parentOf(3) == 2 && cut.labelOf(4) == 2)
+    assert(cut.bestNonCut(prefer(7)) == 7 && cut.leaves == 1)
+    // 2's child 3 is anchored by 4, whose label equals 2's
+    assert(cut.bestNonCut(prefer(2)) == 2 && cut.anchors == 1 && cut.searches == 0)
+    // 1's child 2 has no anchor, yet 1 is not a cut vertex
+    assert(cut.bestNonCut(prefer(1)) == 1 && cut.searches == 1)
+    // 3 is a cut vertex: 6 and 7 hang off it
+    assert(cut.bestNonCut(prefer(3, 6, 2)) == 2 && cut.fallbacks == 1)
+    assert(cut.bestNonCut(prefer(0)) == 0 && cut.searches == 2) // the root has no anchors
+  }
+
+  test("cutCheck moves anchored children and rebuilds when a child has no anchor") {
+    val g = cycleTail
+    val repaired = allBits(8)
+    val a = g.cutCheck(repaired, 0)
+    a.remove(2) // 3 moves under its anchor 4
+    assert(a.repairs == 1 && a.rebuilds == 0 && a.parentOf(3) == 4)
+    assertTree(g, a, repaired, 0)
+    a.remove(1) // now a leaf
+    assert(a.repairs == 1 && a.rebuilds == 0)
+    assertTree(g, a, repaired, 0)
+
+    val rebuilt = allBits(8)
+    val b = g.cutCheck(rebuilt, 0)
+    b.remove(1) // 1's child 2 has no anchor
+    assert(b.rebuilds == 1 && b.repairs == 0)
+    assertTree(g, b, rebuilt, 0)
+    val dist = g.bfsDist(Seq(0), rebuilt)
+    rebuilt.foreach(v => assert(b.labelOf(v) == dist(v), s"label of $v"))
+    b.add(1) // back as a leaf under 0
+    assert(b.parentOf(1) == 0 && b.labelOf(1) == 1)
+    assertTree(g, b, rebuilt, 0)
   }
 
   test("coreNumbers of a clique") {
