@@ -11,15 +11,12 @@ object Main {
 
   /** The one Spark session config, shared by jobs and tests. Master and
     * shuffle partitions come from SPARK_MASTER and SPARK_SHUFFLE_PARTITIONS.
-    * Broadcast joins are off, so the BFS and layer-aggregation joins take
-    * the shuffle path even on small graphs.
     */
   def session(name: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   def main(args: Array[String]): Unit = {

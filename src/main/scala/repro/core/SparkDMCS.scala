@@ -1,102 +1,71 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.{GraphFrames, LocalGraph}
 import scala.collection.mutable
 
 /** Distributed FPA (the `distributed_dataflow` reproduction target).
   *
-  * Stage 1 (Spark/Catalyst): for |Q|>1 a BFS from q0 whose parent column
-  * gives the protected paths linking Q; then a multi-source BFS from the
-  * protected set over the edge DataFrame; per-layer node/edge aggregates
-  * whose distance prefixes are scored by `Peeler.bestPrefix` (Section 5.7's
-  * layer pruning) — the graph-sized work is DataFrame dataflow, so it scales
-  * to graphs that do not fit one machine.
+  * Stage 1 (Spark): the edges are normalised and symmetrized into an RDD
+  * that is cached for the call. For |Q|>1 a BFS from q0, stopped after the
+  * layer of the farthest query, gives the parents of the protected paths
+  * linking Q; then a multi-source BFS from the protected set, one job per
+  * layer, and one pass for the per-layer degree and edge sums, whose
+  * distance prefixes are scored by `Peeler.bestPrefix` (Section 5.7's layer
+  * pruning). The graph-sized work runs in Spark tasks; the driver holds only
+  * node-sized state, so it scales to edge sets that do not fit one machine.
   *
   * Stage 2 (driver): the chosen prefix subgraph — a tiny fraction of the
-  * graph after pruning — is collected with its distances and handed to
-  * `Peeler.peel`, which peels its outermost layer exactly as local FPA does.
-  * DM is still scored against the *full* graph's |E| and degrees.
+  * graph after pruning — is collected with the global degrees of its nodes
+  * and handed to `Peeler.peel`, which peels its outermost layer exactly as
+  * local FPA does. DM is still scored against the *full* graph's |E|.
   *
   * Tests assert this returns exactly the community of `Peeler.fpa`, for
-  * every |Q|.
+  * every |Q|, and that a call leaves no cached RDD behind.
   */
 object SparkDMCS {
 
   final case class Result(community: Set[Long], dm: Double, chosenLayer: Int,
                           maxLayer: Int, ok: Boolean, note: String = "")
 
-  /** Run distributed FPA over a canonical (src<dst) edge DataFrame. */
+  /** Run distributed FPA over a (`src`, `dst`) edge DataFrame; self-loops,
+    * duplicates and both orientations of an edge are accepted and normalised
+    * as `LocalGraph.fromEdges` does.
+    */
   def fpa(spark: SparkSession, edges: DataFrame, queries: Seq[Long]): Result = {
     require(queries.nonEmpty, "need at least one query node")
 
-    val e = edges.select(col("src").cast("long"), col("dst").cast("long")).cache()
-    val mE = e.count()
-    val degs = GraphFrames.degrees(e).cache()
+    val sym = GraphFrames.symmetrize(edges).cache()
+    try {
+      val mE = sym.count() / 2
 
-    // --- multi-query: protect the BFS-tree paths linking Q (Section 5.6) ---
-    val prot: Seq[Long] =
-      if (queries.length == 1) queries
-      else {
-        val parents = GraphFrames.bfsDist(spark, e, Seq(queries.head)).collect()
-          .map(r => r.getAs[Long]("node") -> r.getAs[Long]("parent")).toMap
-        if (!queries.forall(parents.contains)) {
-          e.unpersist(); degs.unpersist()
-          return Result(queries.toSet, Double.NaN, -1, -1, ok = false,
-            "query nodes are not in the same connected component")
+      // --- multi-query: protect the BFS-tree paths linking Q (Section 5.6) ---
+      val prot: Seq[Long] =
+        if (queries.length == 1) queries
+        else {
+          val parent = GraphFrames.bfsDist(sym, Seq(queries.head), queries.tail).parent
+          if (!queries.forall(parent.contains))
+            return Result(queries.toSet, Double.NaN, -1, -1, ok = false,
+              "query nodes are not in the same connected component")
+          Peeler.protectPaths(queries, parent).toSeq
         }
-        Peeler.protectPaths(queries, parents).toSeq
-      }
-    val dist = GraphFrames.bfsDist(spark, e, prot).cache()
 
-    // --- layer aggregates (pure dataflow) + prefix choice ------------------
-    val nodeStats = GraphFrames.nodeLayerStats(dist, degs)
-    val edgeStats = GraphFrames.edgeLayerStats(e, dist)
-    val layerRows = nodeStats.join(edgeStats, Seq("dist"), "left_outer")
-      .select(col("dist"), col("nNodes"), col("sumDeg"),
-        coalesce(col("nEdges"), lit(0L)).as("nEdges"))
-      .orderBy(col("dist"))
-      .collect()
-    if (layerRows.isEmpty) {
-      // the query has no edges, so no `degrees` row: its component is itself
-      e.unpersist(); degs.unpersist(); dist.unpersist()
-      return Result(queries.toSet, Modularity.dm(0, 0, 1, mE), 0, 0, ok = true)
-    }
-    val maxLayer = layerRows.map(_.getAs[Int]("dist")).max
-    def perLayer(c: String): Array[Long] = {
-      val a = new Array[Long](maxLayer + 1)
-      layerRows.foreach(r => a(r.getAs[Int]("dist")) = r.getAs[Long](c))
-      a
-    }
-    val bestT = Peeler.bestPrefix(perLayer("nNodes"), perLayer("sumDeg"), perLayer("nEdges"),
-      mE, Peeler.DmObjective)
+      // --- layer aggregates + prefix choice -----------------------------------
+      val bfs = GraphFrames.bfsDist(sym, prot)
+      val (sumDeg, nEdges) = GraphFrames.layerStats(sym, bfs)
+      val bestT = Peeler.bestPrefix(bfs.layers.map(_.length.toLong).toArray, sumDeg, nEdges,
+        mE, Peeler.DmObjective)
 
-    // --- collect the pruned prefix subgraph and peel its outer layer ------
-    val keep = dist.filter(col("dist") <= bestT).cache()
-    val nodeRows = keep.join(degs, Seq("node"))
-      .select(col("node"), col("dist"), col("deg")).collect()
-    val ids = nodeRows.map(_.getAs[Long]("node")).sorted
-    val idOf = ids.zipWithIndex.toMap
-    val degOf = new Array[Int](ids.length)
-    val distOf = new Array[Int](ids.length)
-    nodeRows.foreach { r =>
-      val i = idOf(r.getAs[Long]("node"))
-      degOf(i) = r.getAs[Long]("deg").toInt
-      distOf(i) = r.getAs[Int]("dist")
-    }
-
-    val ks = keep.select(col("node").as("src"))
-    val kd = keep.select(col("node").as("dst"))
-    val subEdges = e.join(ks, Seq("src"), "left_semi").join(kd, Seq("dst"), "left_semi")
-      .select(col("src"), col("dst")).collect()
-      .map(r => (idOf(r.getAs[Long]("src")), idOf(r.getAs[Long]("dst"))))
-
-    val sub = LocalGraph.fromEdges(ids.length, subEdges.toSeq)
-    val res = Peeler.peel(sub, degOf, mE, mutable.BitSet.empty ++= prot.map(idOf),
-      Array.range(0, ids.length), distOf, Peeler.FarthestLayer, Peeler.DensityRatio, Peeler.DmObjective, prefix = bestT)
-
-    e.unpersist(); degs.unpersist(); dist.unpersist(); keep.unpersist()
-    Result(res.community.map(i => ids(i)), res.score, bestT, maxLayer, ok = true)
+      // --- collect the pruned prefix subgraph and peel its outer layer ------
+      val keep = bfs.dist.indices.filter(i => bfs.dist(i) <= bestT)
+      val ids = keep.map(bfs.ids).toArray
+      val distOf = keep.map(bfs.dist).toArray
+      val (degOf, subEdges) = GraphFrames.induced(sym, ids)
+      val sub = LocalGraph.fromEdges(ids.length, subEdges)
+      val protIdx = mutable.BitSet.empty ++= prot.map(java.util.Arrays.binarySearch(ids, _))
+      val res = Peeler.peel(sub, degOf, mE, protIdx, Array.range(0, ids.length), distOf,
+        Peeler.FarthestLayer, Peeler.DensityRatio, Peeler.DmObjective, prefix = bestT)
+      Result(res.community.map(i => ids(i)), res.score, bestT, bfs.layers.length - 1, ok = true)
+    } finally sym.unpersist()
   }
 }

@@ -1,15 +1,31 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 
-/** Every Spark aggregation used by the distributed pipeline is checked
-  * against DuckDB SQL over the same inputs (repro.Oracle).
+/** Every Spark primitive used by the distributed pipeline is checked against
+  * the `LocalGraph` kernel that computes the same thing on one machine.
   */
 class GraphFramesSpec extends SparkSpec {
 
   private lazy val karate = GraphGen.karate.graph
   private lazy val edges = GraphFrames.edgeDF(spark, karate).cache()
+  private lazy val sym = GraphFrames.symmetrize(edges).cache()
+  private lazy val path = LocalGraph.fromEdges(70, (0 until 69).map(i => (i, i + 1)))
+
+  private def symOf(g: LocalGraph) = GraphFrames.symmetrize(GraphFrames.edgeDF(spark, g))
+
+  /** Distance and parent of every node as `LocalGraph` reports them, -1 when
+    * the BFS did not reach it.
+    */
+  private def distParent(g: LocalGraph, bfs: GraphFrames.Bfs): Seq[(Int, Long)] = {
+    val dist = bfs.ids.zip(bfs.dist).toMap
+    (0 until g.n).map(v => (dist.getOrElse(v.toLong, -1), bfs.parent.getOrElse(v.toLong, -1L)))
+  }
+  private def assertSameBfs(g: LocalGraph, source: Int): Unit = {
+    val got = distParent(g, GraphFrames.bfsDist(symOf(g), Seq(source.toLong)))
+    val want = g.bfsDist(Seq(source)).zip(g.bfsParents(source).map(_.toLong))
+    (0 until g.n).foreach(v => assert(got(v) == want(v), s"node $v"))
+  }
 
   test("edgeDF is canonical (src < dst) and complete") {
     val rows = edges.collect()
@@ -18,95 +34,115 @@ class GraphFramesSpec extends SparkSpec {
   }
 
   test("symmetrize doubles the edges") {
-    assert(GraphFrames.symmetrize(edges).count() == 156)
+    assert(sym.count() == 156)
   }
 
-  test("degrees match DuckDB GROUP BY") {
-    val sym = GraphFrames.symmetrize(edges)
-    Oracle.assertEquivalent(
-      GraphFrames.degrees(edges),
-      "SELECT src AS node, COUNT(*) AS deg FROM sym GROUP BY src",
-      "sym" -> sym)
+  test("symmetrize normalises self-loops, duplicates and both orientations") {
+    import spark.implicits._
+    val es = karate.edges.toSeq
+    val dirty = es ++ es.take(20).map(_.swap) ++ es.take(5) ++ Seq((3, 3), (7, 7))
+    val got = GraphFrames.symmetrize(dirty.toDF("src", "dst")).collect().toSet
+    assert(got == (es ++ es.map(_.swap)).map { case (u, v) => (u.toLong, v.toLong) }.toSet)
+    assert(got.size == 156)
   }
 
   test("degrees match LocalGraph degrees") {
-    val d = GraphFrames.degrees(edges).collect()
-      .map(r => r.getLong(0).toInt -> r.getLong(1).toInt).toMap
-    (0 until karate.n).foreach(v => assert(d(v) == karate.degree(v)))
+    val all = Array.range(0, karate.n).map(_.toLong)
+    val (deg, es) = GraphFrames.induced(sym, all)
+    assert(deg.toSeq == karate.degree.toSeq)
+    assert(es.toSet == karate.edges.toSet)
+  }
+
+  test("induced keeps only the edges inside the node set") {
+    val nodes = Array(0L, 1L, 2L, 3L, 33L)
+    val (deg, es) = GraphFrames.induced(sym, nodes)
+    assert(deg.toSeq == nodes.map(v => karate.degree(v.toInt)).toSeq)
+    val want = for (i <- nodes.indices; j <- nodes.indices
+                    if i < j && karate.hasEdge(nodes(i).toInt, nodes(j).toInt)) yield (i, j)
+    assert(es.toSet == want.toSet)
   }
 
   test("bfsDist matches LocalGraph BFS from a single source") {
-    val got = GraphFrames.bfsDist(spark, edges, Seq(0L)).collect()
-      .map(r => r.getLong(0).toInt -> (r.getInt(1), r.getLong(2).toInt)).toMap
-    val want = karate.bfsDist(Seq(0))
-    val parent = karate.bfsParents(0) // the same min-id parent rule
-    (0 until karate.n).foreach(v => assert(got(v) == (want(v), parent(v)), s"node $v"))
+    Seq(0, 16, 33).foreach(s => assertSameBfs(karate, s))
   }
 
   test("bfsDist multi-source matches LocalGraph") {
-    val got = GraphFrames.bfsDist(spark, edges, Seq(0L, 33L)).collect()
-      .map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
+    val bfs = GraphFrames.bfsDist(sym, Seq(0L, 33L))
     val want = karate.bfsDist(Seq(0, 33))
-    (0 until karate.n).foreach(v => assert(got(v) == want(v)))
+    assert(distParent(karate, bfs).map(_._1) == want.toSeq)
+    assert(bfs.layers.forall(l => l.toSeq == l.sorted.toSeq))
   }
 
   test("bfsDist covers only the source component") {
-    val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
-    val e = GraphFrames.edgeDF(spark, g)
-    val got = GraphFrames.bfsDist(spark, e, Seq(0L)).collect().map(_.getLong(0)).toSet
-    assert(got == Set(0L, 1L, 2L))
+    val g = LocalGraph.fromEdges(9, Seq((0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (6, 7), (7, 8)))
+    Seq(0, 3, 5, 8).foreach(s => assertSameBfs(g, s))
+    assert(GraphFrames.bfsDist(symOf(g), Seq(0L)).ids.toSet == Set(0L, 1L, 2L, 3L))
   }
 
   test("bfsDist runs until the frontier is empty (70-node path)") {
-    val g = LocalGraph.fromEdges(70, (0 until 69).map(i => (i, i + 1)))
-    val rows = GraphFrames.bfsDist(spark, GraphFrames.edgeDF(spark, g), Seq(0L)).collect()
-    assert(rows.length == 70)
-    assert(rows.map(_.getAs[Int]("dist")).max == 69)
+    val bfs = GraphFrames.bfsDist(symOf(path), Seq(0L))
+    assert(bfs.ids.length == 70)
+    assert(bfs.layers.length == 70)
+    assertSameBfs(path, 0)
   }
 
-  test("nodeLayerStats matches DuckDB") {
-    val dist = GraphFrames.bfsDist(spark, edges, Seq(0L))
-    val degs = GraphFrames.degrees(edges)
-    Oracle.assertEquivalent(
-      GraphFrames.nodeLayerStats(dist, degs)
-        .select(col("dist").cast("int").as("dist"), col("nNodes"),
-          col("sumDeg").cast("long").as("sumDeg")),
-      """SELECT CAST(d.dist AS INT) AS dist, COUNT(*) AS nNodes,
-        |       CAST(SUM(CAST(g.deg AS BIGINT)) AS BIGINT) AS sumDeg
-        |FROM dist d JOIN degs g ON d.node = g.node
-        |GROUP BY CAST(d.dist AS INT)""".stripMargin,
-      "dist" -> dist, "degs" -> degs)
+  test("bfsDist with targets stops after the farthest target's layer (70-node path)") {
+    val bfs = GraphFrames.bfsDist(symOf(path), Seq(0L), Seq(2L))
+    assert(bfs.layers.map(_.toSeq) == Seq(Seq(0L), Seq(1L), Seq(2L)))
   }
 
-  test("edgeLayerStats matches DuckDB") {
-    val dist = GraphFrames.bfsDist(spark, edges, Seq(0L))
-    Oracle.assertEquivalent(
-      GraphFrames.edgeLayerStats(edges, dist)
-        .select(col("dist").cast("int").as("dist"), col("nEdges")),
-      """SELECT CAST(GREATEST(CAST(ds.dist AS INT), CAST(dd.dist AS INT)) AS INT) AS dist,
-        |       COUNT(*) AS nEdges
-        |FROM e JOIN dist ds ON e.src = ds.node
-        |       JOIN dist dd ON e.dst = dd.node
-        |GROUP BY 1""".stripMargin,
-      "e" -> edges, "dist" -> dist)
+  test("bfsDist with targets gives the parents of LocalGraph.bfsParentsTo") {
+    val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = 3)
+    val s = symOf(gt.graph).cache()
+    for (targets <- Seq(Seq(5), Seq(17, 250), Seq(40, 41, 42, 299))) {
+      val bfs = GraphFrames.bfsDist(s, Seq(0L), targets.map(_.toLong))
+      val want = gt.graph.bfsParentsTo(0, targets).get
+      val far = targets.map(gt.graph.bfsDist(Seq(0))(_)).max
+      assert(bfs.layers.length == far + 1, s"targets $targets")
+      (0 until gt.graph.n).foreach { v =>
+        assert(bfs.parent.getOrElse(v.toLong, -1L) == want(v).toLong, s"targets $targets, node $v")
+      }
+    }
+    s.unpersist()
   }
 
-  test("edgeLayerStats drops edges with an unreached endpoint") {
+  test("bfsDist with an unreachable target runs to the end without it") {
+    val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
+    val bfs = GraphFrames.bfsDist(symOf(g), Seq(0L), Seq(2L, 3L))
+    assert(bfs.ids.toSeq == Seq(0L, 1L, 2L))
+    assert(!bfs.parent.contains(3L))
+  }
+
+  test("layerStats equals LocalGraph.bfsLayers on seeded LFR graphs") {
+    for (seed <- 1 to 4) {
+      val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 80, seed = seed)
+      val s = symOf(gt.graph).cache()
+      for (sources <- Seq(Seq(0), Seq(7, 123), Seq(1, 2, 3, 299))) {
+        val bfs = GraphFrames.bfsDist(s, sources.map(_.toLong))
+        val (sumDeg, nEdges) = GraphFrames.layerStats(s, bfs)
+        val want = gt.graph.bfsLayers(sources)
+        val ctx = s"seed $seed sources $sources"
+        assert(bfs.layers.map(_.length.toLong) == want.nNodes.toSeq, ctx)
+        assert(sumDeg.toSeq == want.sumDeg.toSeq, ctx)
+        assert(nEdges.toSeq == want.nEdges.toSeq, ctx)
+      }
+      s.unpersist()
+    }
+  }
+
+  test("layerStats drops edges with an unreached endpoint") {
     val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (3, 4)))
-    val e = GraphFrames.edgeDF(spark, g)
-    val dist = GraphFrames.bfsDist(spark, e, Seq(0L))
-    val total = GraphFrames.edgeLayerStats(e, dist)
-      .agg(sum(col("nEdges"))).collect()(0).getLong(0)
-    assert(total == 2) // edge (3,4) excluded
+    val s = symOf(g)
+    val (sumDeg, nEdges) = GraphFrames.layerStats(s, GraphFrames.bfsDist(s, Seq(0L)))
+    assert(nEdges.sum == 2) // edge (3,4) excluded
+    assert(sumDeg.sum == 4)
   }
 
   test("layer edge totals equal |E| of the component") {
     val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 80, seed = 6)
-    val e = GraphFrames.edgeDF(spark, gt.graph)
-    val dist = GraphFrames.bfsDist(spark, e, Seq(0L))
+    val s = symOf(gt.graph)
     val comp = gt.graph.componentOf(0)
-    val total = GraphFrames.edgeLayerStats(e, dist)
-      .agg(sum(col("nEdges"))).collect()(0).getLong(0)
-    assert(total == gt.graph.edgeCount(comp))
+    val (_, nEdges) = GraphFrames.layerStats(s, GraphFrames.bfsDist(s, Seq(0L)))
+    assert(nEdges.sum == gt.graph.edgeCount(comp))
   }
 }
