@@ -17,9 +17,10 @@ import scala.collection.mutable
   * a pool: (a) S minus the protected nodes, whose top node must pass
   * `CutCheck.bestNonCut`; (b) the outermost layer of S that is left. The
   * best-node rule ranks the pool in one order (higher score, then farther,
-  * then smaller id) with lazy heaps, as k_{v,S} moves only when a neighbour
-  * of v leaves S: Θ in one heap; Λ, which also moves with d_S, in one heap
-  * per global degree, within which it falls as k_{v,S} grows.
+  * then smaller id) with indexed heaps of node ids, in which v moves up in
+  * place when a neighbour of v leaves S: Θ in one heap; Λ, which also moves
+  * with d_S, in one heap per global degree, within which it falls as
+  * k_{v,S} grows.
   *
   * `run` prepares the query side (same-component check, protected paths,
   * distances, layer stats and the prefix choice) and hands the chosen
@@ -45,32 +46,22 @@ object Peeler {
   final case class Result(community: Set[Int], score: Double, removed: Int,
                           ok: Boolean, note: String = "")
 
-  /** The best-node order, negative when node a (score sa, distance da)
-    * ranks before node b: higher score, then farther, then smaller id.
-    */
-  private def order(sa: Double, da: Int, a: Int, sb: Double, db: Int, b: Int): Int = {
-    val c = java.lang.Double.compare(sb, sa)
-    if (c != 0) c else if (da != db) Integer.compare(db, da) else Integer.compare(a, b)
-  }
-  private final case class Entry(r: Double, d: Int, v: Int)
-  private val entryOrder: java.util.Comparator[Entry] =
-    (a: Entry, b: Entry) => order(a.r, a.d, a.v, b.r, b.d, b.v)
-
   def run(g: LocalGraph, queries: Seq[Int], rule: RemovableRule, goodness: Goodness,
           layerPrune: Boolean, objective: Objective = DmObjective): Result = {
     require(queries.nonEmpty, "need at least one query node")
     queries.foreach(q => require(q >= 0 && q < g.n, s"query $q out of range [0,${g.n})"))
+    val qs = queries.distinct.sorted // rooted at min(Q), so Q's order cannot change the answer
 
     // protected nodes: the queries, plus (FPA, |Q|>1) the BFS-tree paths
-    // linking them to q0; the same BFS tells whether Q shares a component
-    val prot = mutable.BitSet.empty ++= queries
-    if (queries.length > 1) g.bfsParentsTo(queries.head, queries.tail) match {
+    // linking them to min(Q); the same BFS tells whether Q shares a component
+    val prot = mutable.BitSet.empty ++= qs
+    if (qs.length > 1) g.bfsParentsTo(qs.head, qs.tail) match {
       case None =>
-        return Result(queries.toSet, Double.NaN, 0, ok = false,
+        return Result(qs.toSet, Double.NaN, 0, ok = false,
           "query nodes are not in the same connected component")
       case Some(parents) =>
         if (rule == FarthestLayer)
-          protectPaths(queries.map(_.toLong), v => parents(v.toInt)).foreach(v => prot += v.toInt)
+          protectPaths(qs.map(_.toLong), v => parents(v.toInt)).foreach(v => prot += v.toInt)
     }
     // reaches exactly the queried component, in layer order
     val layers = g.bfsLayers(prot)
@@ -138,90 +129,94 @@ object Peeler {
     val removed = new Array[Int](members.length); var nRemoved = 0
     var bestScore = objective(lS, dS, size, mE); var bestCount = 0
 
-    // removable-node rule: S minus `prot`, or S's layer `layer`; `left` of
-    // the pool are still in S
+    // removable-node rule: S minus `prot`, or S's layer `layer`
     val nca = rule == NonArticulation
     var layer = if (nca) 0 else members.map(dist).max + 1 // counts down to max(1, prefix)
-    def pooled(v: Int): Boolean = if (nca) !prot.contains(v) else dist(v) == layer // prot(v) would box v
-    var left = 0
 
-    // best-node rule: lazy heaps of the pool, in `order`, where each change
-    // of k_{v,S} pushes v's fresh entry.
-    //  - Θ: one heap. Θ_v only grows as S shrinks, so v's fresh entry ranks
-    //    above its older ones, and those reach the top only after v has
-    //    left S.
-    //  - Λ: one heap per global degree, with entries scored -k_{v,S}. For a
-    //    fixed d_v, Λ_v strictly falls as k_{v,S} grows, whatever d_S is, so
-    //    a heap ranks its class by Λ, and Λ is computed only at the class
-    //    tops. An entry is stale once its k is not v's; k only falls, so a
-    //    stale entry ranks below v's fresh one.
+    // best-node rule: the pool in indexed binary heaps of node ids, one per
+    // class, each ranked by `before`. Class c's heap is heap(base(c) ...
+    // base(c) + used(c) - 1), v sits at heap(base(c) + pos(v)), pos(v) is -1
+    // outside the pool, and a fall of k_{v,S} moves v up in place.
+    //  - Θ: one class. Θ_v only grows as k_{v,S} falls.
+    //  - Λ: one class per global degree. For a fixed d_v, Λ_v strictly falls
+    //    as k_{v,S} grows, whatever d_S is, so a change of d_S keeps each
+    //    class's order. `Modularity.gain` is exact in doubles, so this holds
+    //    for the computed Λ too, while 4·mE·k_{v,S} and 2·d_S·d_v stay below
+    //    2^53.
     val dmg = goodness == DMGain
-    val heaps = new Array[java.util.PriorityQueue[Entry]](if (dmg) maxDeg + 1 else 1)
-    val classes = mutable.ArrayBuffer.empty[java.util.PriorityQueue[Entry]] // the heaps made
-    def heapOf(v: Int): java.util.PriorityQueue[Entry] = {
-      val c = if (dmg) deg(v) else 0
-      if (heaps(c) == null) {
-        heaps(c) = new java.util.PriorityQueue[Entry](if (dmg) 11 else math.max(1, members.length), entryOrder)
-        classes += heaps(c)
-      }
-      heaps(c)
+    def cls(v: Int): Int = if (dmg) deg(v) else 0
+    val base = new Array[Int](if (dmg) maxDeg + 2 else 2) // class c's capacity counted at c + 1
+    for (v <- members) base(cls(v) + 1) += 1
+    for (c <- 1 until base.length) base(c) += base(c - 1)
+    val used = new Array[Int](base.length - 1)
+    val heap = new Array[Int](members.length)
+    val pos = Array.fill(g.n)(-1)
+    /** Higher score, then farther, then smaller id. */
+    def before(a: Int, b: Int): Boolean = {
+      val c = java.lang.Double.compare(score(b), score(a))
+      if (c != 0) c < 0 else if (dist(a) != dist(b)) dist(a) > dist(b) else a < b
     }
-    def push(v: Int): Unit = heapOf(v).add(
-      if (dmg) Entry(-kv(v), dist(v), v) else Entry(Modularity.ratio(deg(v), kv(v)), dist(v), v))
-    def stale(e: Entry): Boolean = if (dmg) kv(e.v) != -e.r else kv(e.v) < 0
+    def score(v: Int): Double =
+      if (dmg) Modularity.gain(kv(v), deg(v), dS, mE) else Modularity.ratio(deg(v), kv(v))
+    def at(v: Int, p: Int): Unit = { heap(base(cls(v)) + p) = v; pos(v) = p }
+    def up(v: Int): Unit = {
+      val b = base(cls(v)); var p = pos(v)
+      while (p > 0 && before(v, heap(b + (p - 1) / 2))) { at(heap(b + (p - 1) / 2), p); p = (p - 1) / 2 }
+      at(v, p)
+    }
+    def down(v: Int): Unit = {
+      val c = cls(v); val b = base(c); var p = pos(v); var done = false
+      while (!done) {
+        val l = 2 * p + 1
+        val w = if (l + 1 < used(c) && before(heap(b + l + 1), heap(b + l))) l + 1 else l // the better child
+        if (w < used(c) && before(heap(b + w), v)) { at(heap(b + w), p); p = w } else done = true
+      }
+      at(v, p)
+    }
     def fill(): Unit = {
-      left = 0
-      members.foreach(v => if (pooled(v)) { left += 1; push(v) })
-    }
-    /** The top live entry of `h` whose node passes `ok`, or null. Stale
-      * entries are dropped; live ones that fail `ok` are put back.
-      */
-    def top(h: java.util.PriorityQueue[Entry], ok: Int => Boolean): Entry = {
-      var held: List[Entry] = Nil
-      var e = h.peek()
-      while (e != null && (stale(e) || !ok(e.v))) {
-        h.poll(); if (!stale(e)) held ::= e
-        e = h.peek()
+      var i = 0
+      while (i < members.length) {
+        val v = members(i) // prot(v) would box v
+        if (if (nca) !prot.contains(v) else dist(v) == layer) { pos(v) = used(cls(v)); used(cls(v)) += 1; up(v) }
+        i += 1
       }
-      while (held.nonEmpty) { h.add(held.head); held = held.tail }
-      e
     }
-    /** The best pool node passing `ok`, or -1: Θ's heap top, or the best
-      * of the Λ class tops.
+    /** The best pool node passing `ok`, or -1: the best of the class tops
+      * that pass, and of the best passing node of each class whose top does
+      * not, found by a scan.
       */
-    def best(ok: Int => Boolean): Int =
-      if (left == 0) -1
-      else if (!dmg) { val e = top(heaps(0), ok); if (e == null) -1 else e.v }
-      else {
-        var bestV = -1; var bestSc = 0.0; var bestD = 0
-        var i = 0
-        while (i < classes.length) {
-          val e = top(classes(i), ok)
-          if (e != null) {
-            val sc = Modularity.gain(kv(e.v), deg(e.v), dS, mE)
-            if (bestV == -1 || order(sc, e.d, e.v, bestSc, bestD, bestV) < 0) {
-              bestV = e.v; bestSc = sc; bestD = e.d
-            }
-          }
+    def best(ok: Int => Boolean): Int = {
+      var bestV = -1; var c = 0
+      while (c < used.length) {
+        var v = -1; var i = 0
+        if (used(c) > 0 && ok(heap(base(c)))) v = heap(base(c))
+        else while (i < used(c)) {
+          val w = heap(base(c) + i)
+          if (ok(w) && (v == -1 || before(w, v))) v = w
           i += 1
         }
-        bestV
+        if (v != -1 && (bestV == -1 || before(v, bestV))) bestV = v
+        c += 1
       }
+      bestV
+    }
 
     // S starts as a whole component under NonArticulation and loses only
     // non-cut nodes, so `bestNonCut` needs to check only the top node; the
     // check owns S, rooted at a query
     val cut = if (nca) { fill(); g.cutCheck(s, prot.head) } else null
     def remove(v: Int): Unit = {
-      val h = heapOf(v)
-      if (h.peek().v == v) h.poll()
+      val c = cls(v)
+      used(c) -= 1
+      val last = heap(base(c) + used(c))
+      if (last != v) { at(last, pos(v)); up(last); down(last) }
+      pos(v) = -1
       if (nca) cut.remove(v) else s -= v
-      left -= 1
       lS -= kv(v); dS -= deg(v); size -= 1; kv(v) = -1
       val a = g.adj(v); var i = 0
       while (i < a.length) {
         val w = a(i) // k_{w,S} > 0 iff w is in S, as v is
-        if (kv(w) > 0) { kv(w) -= 1; if (pooled(w)) push(w) }
+        if (kv(w) > 0) { kv(w) -= 1; if (pos(w) >= 0) up(w) }
         i += 1
       }
       removed(nRemoved) = v; nRemoved += 1
@@ -234,8 +229,9 @@ object Peeler {
     def next(): Int =
       if (nca) cut.bestNonCut(rank)
       else {
-        while (left == 0 && layer > math.max(1, prefix)) { layer -= 1; fill() }
-        best(any)
+        var v = best(any)
+        while (v == -1 && layer > math.max(1, prefix)) { layer -= 1; fill(); v = best(any) }
+        v
       }
     var v = next()
     while (v != -1) { remove(v); v = next() }

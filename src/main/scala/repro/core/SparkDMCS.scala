@@ -7,7 +7,7 @@ import scala.collection.mutable
 /** Distributed FPA (the `distributed_dataflow` reproduction target).
   *
   * Stage 1 (Spark): the edges are normalised and symmetrized into an RDD
-  * that is cached for the call. For |Q|>1 a BFS from q0, stopped after the
+  * that is cached for the call. For |Q|>1 a BFS from min(Q), stopped after the
   * layer of the farthest query, gives the parents of the protected paths
   * linking Q; then a multi-source BFS from the protected set, one job per
   * layer, and one pass for the per-layer degree and edge sums, whose
@@ -34,6 +34,7 @@ object SparkDMCS {
     */
   def fpa(spark: SparkSession, edges: DataFrame, queries: Seq[Long]): Result = {
     require(queries.nonEmpty, "need at least one query node")
+    val qs = queries.distinct.sorted // rooted at min(Q), as `Peeler.run` is
 
     val sym = GraphFrames.symmetrize(edges).cache()
     try {
@@ -41,13 +42,13 @@ object SparkDMCS {
 
       // --- multi-query: protect the BFS-tree paths linking Q (Section 5.6) ---
       val prot: Seq[Long] =
-        if (queries.length == 1) queries
+        if (qs.length == 1) qs
         else {
-          val parent = GraphFrames.bfsDist(sym, Seq(queries.head), queries.tail).parent
-          if (!queries.forall(parent.contains))
-            return Result(queries.toSet, Double.NaN, -1, -1, ok = false,
+          val parent = GraphFrames.bfsDist(sym, Seq(qs.head), qs.tail).parent
+          if (!qs.forall(parent.contains))
+            return Result(qs.toSet, Double.NaN, -1, -1, ok = false,
               "query nodes are not in the same connected component")
-          Peeler.protectPaths(queries, parent).toSeq
+          Peeler.protectPaths(qs, parent).toSeq
         }
 
       // --- layer aggregates + prefix choice -----------------------------------

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.GraphCtx
+import repro.eval.QueryGen
 import repro.graph.{GraphGen, LocalGraph}
 import scala.collection.mutable
 import scala.util.Random
@@ -114,26 +116,28 @@ class PeelerSpec extends AnyFunSuite {
   }
 
   // ------------------------------------------- slow reference peel
-  private case class Ref(community: Set[Int], score: Double, removed: Int, prefix: Int) {
+  private case class Ref(community: Set[Int], score: Double, removed: Int, prefix: Int, cutTops: Int) {
     def matches(r: Peeler.Result): Boolean =
       r.ok && r.community == community && r.score == score && r.removed == removed
   }
   /** Algorithm 1 with every quantity recomputed from scratch at each step:
     * l_S, d_S and |S| through `Modularity.dmOf`, k_{v,S} through
-    * `degreeWithin`, the protected paths from a min-id parent per node. Same
-    * tie-breaks as `Peeler`: the latest best-scoring S wins, Λ or Θ ties go
-    * to the farther then smaller node (NCA, NCA-DR) or the smaller node
-    * (FPA-DMG, FPA), and the first best prefix wins. `removed` counts the
-    * component's nodes outside the best S; `prefix` is -1 without pruning.
+    * `degreeWithin`, the protected paths from a min-id parent per node on a
+    * BFS from min(Q). Same tie-breaks as `Peeler`: the latest best-scoring S
+    * wins, Λ or Θ ties go to the farther then smaller node, and the first
+    * best prefix wins. `removed` counts the component's nodes outside the
+    * best S; `prefix` is -1 without pruning; `cutTops` counts the NCA steps
+    * whose best-ranked pool node is a cut vertex, so that the removed node
+    * is not the top one.
     */
   private def naivePeel(g: LocalGraph, q: Seq[Int], rule: Peeler.RemovableRule,
                         goodness: Peeler.Goodness, layerPrune: Boolean): Ref = {
     import Ordering.Double.TotalOrdering
-    val comp = g.componentOf(q.head)
+    val comp = g.componentOf(q.min)
     assert(q.forall(comp))
     val prot = mutable.BitSet.empty ++= q
     if (rule == Peeler.FarthestLayer) {
-      val d0 = g.bfsDist(Seq(q.head))
+      val d0 = g.bfsDist(Seq(q.min))
       def parent(v: Int): Int = g.adj(v).filter(w => d0(w) == d0(v) - 1).minOption.getOrElse(-1)
       for (v0 <- q) { var v = v0; while (v != -1) { prot += v; v = parent(v) } }
     }
@@ -145,29 +149,36 @@ class PeelerSpec extends AnyFunSuite {
       val sc = Modularity.dmOf(g, s)
       if (sc >= best) { best = sc; bestSet = s.toSet }
     }
-    def lambda(v: Int) = Modularity.gain(g.degreeWithin(v, s), g.degree(v), g.degreeSum(s), g.m)
-    def theta(v: Int) = Modularity.ratio(g.degree(v), g.degreeWithin(v, s))
-    def score(v: Int) = goodness match {
-      case Peeler.DMGain => lambda(v)
-      case Peeler.DensityRatio => theta(v)
+    def top(pool: Iterable[Int]): Int = {
+      val dS = g.degreeSum(s)
+      def score(v: Int) = goodness match {
+        case Peeler.DMGain => Modularity.gain(g.degreeWithin(v, s), g.degree(v), dS, g.m)
+        case Peeler.DensityRatio => Modularity.ratio(g.degree(v), g.degreeWithin(v, s))
+      }
+      pool.minBy(v => (-score(v), -dist(v), v))
     }
     def peelLayer(t: Int): Unit = {
       var cand = s.filter(dist(_) == t)
       while (cand.nonEmpty) {
-        val v = cand.toSeq.sortBy(v => (-score(v), v)).head
+        val v = top(cand)
         cand -= v; remove(v)
       }
     }
     val maxDist = comp.map(dist(_)).max
     var chosen = -1 // the pruning prefix
+    var cutTops = 0
     rule match {
       case Peeler.NonArticulation =>
         var more = true
         while (more) {
           val art = g.articulationPoints(s)
-          val cand = s.toSeq.filter(v => !prot(v) && !art(v))
+          val pool = s.toSeq.filter(v => !prot(v))
+          val cand = pool.filter(v => !art(v))
           more = cand.nonEmpty
-          if (more) remove(cand.sortBy(v => (-score(v), -dist(v), v)).head)
+          if (more) {
+            if (art(top(pool))) cutTops += 1
+            remove(top(cand))
+          }
         }
       case Peeler.FarthestLayer if layerPrune =>
         def prefix(t: Int) = comp.filter(dist(_) <= t)
@@ -181,7 +192,7 @@ class PeelerSpec extends AnyFunSuite {
       case Peeler.FarthestLayer =>
         (maxDist to 1 by -1).foreach(peelLayer)
     }
-    Ref(bestSet, best, comp.size - bestSet.size, chosen)
+    Ref(bestSet, best, comp.size - bestSet.size, chosen, cutTops)
   }
 
   private val referenced: Seq[(String, Peeler.RemovableRule, Peeler.Goodness, Boolean,
@@ -234,6 +245,19 @@ class PeelerSpec extends AnyFunSuite {
           assert(naivePeel(g, q, Peeler.NonArticulation, goodness, false).matches(r), s"q=$q")
         }
       }
+      // On graphs shaped like the Fig 14 benchmark's the top-ranked node is
+      // often a cut vertex, so the filtered ranking runs many times per query.
+      test(s"$name equals the reference peel on LFR(1000) through cut-vertex tops, |Q|=$nq") {
+        val cutTops = (1 to 3).map { seed =>
+          val g = GraphGen.lfr(1000, 20, 200, 0.4, 20, 1000, seed = seed).graph
+          val rnd = new Random(seed * 29 + nq)
+          val q = Seq.fill(nq)(rnd.nextInt(g.n)).distinct
+          val ref = naivePeel(g, q, Peeler.NonArticulation, goodness, false)
+          assert(ref.matches(algo(g, q)), s"seed=$seed q=$q")
+          ref.cutTops
+        }
+        assert(cutTops.sum > 0, "no step ranked a cut vertex first")
+      }
     }
   }
 
@@ -259,6 +283,24 @@ class PeelerSpec extends AnyFunSuite {
     test(s"$name equals the reference peel when the best prefix is $where") {
       val ref = naivePeel(g, q, Peeler.FarthestLayer, goodness, layerPrune = true)
       assert(ref.prefix == t && ref.matches(algo(g, q)))
+    }
+  }
+
+  // Q is a set: shuffling it, or repeating some of its nodes, changes nothing
+  private lazy val orderCases: Seq[(LocalGraph, Seq[Int])] = for {
+    seed <- 1 to 3
+    gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = seed)
+    ctx = new GraphCtx(gt.graph)
+    k <- Seq(2, 4, 8)
+    (q, _) <- QueryGen.querySets(gt, ctx, 4, k, seed = 70 + k)
+  } yield (gt.graph, q)
+  for ((name, algo) <- variants) {
+    test(s"$name answers do not depend on the order or repeats of Q") {
+      def key(r: Peeler.Result) = (r.community, java.lang.Double.doubleToLongBits(r.score), r.removed, r.ok)
+      for ((g, q) <- orderCases) {
+        val messy = new Random(q.sum).shuffle(q ++ q.take(2))
+        assert(key(algo(g, messy)) == key(algo(g, q)), s"q=$messy")
+      }
     }
   }
 

@@ -56,6 +56,16 @@ class SparkDMCSSpec extends SparkSpec {
     }
   }
 
+  test("the order and repeats of Q do not change the answer") {
+    val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = 1)
+    val edges = GraphFrames.edgeDF(spark, gt.graph)
+    for (k <- Seq(2, 4); (q, _) <- QueryGen.querySets(gt, new GraphCtx(gt.graph), 2, k, 70 + k)) {
+      val messy = new scala.util.Random(q.sum).shuffle(q ++ q.take(2)).map(_.toLong)
+      val want = SparkDMCS.fpa(spark, edges, q.map(_.toLong))
+      assert(want.ok && SparkDMCS.fpa(spark, edges, messy) == want, s"q=$messy")
+    }
+  }
+
   test("multi-query: community contains all queries and is connected") {
     val gt = GraphGen.lfr(250, 10, 40, 0.3, 20, 60, seed = 9)
     val comm = gt.communities.maxBy(_.size).toSeq.sorted
