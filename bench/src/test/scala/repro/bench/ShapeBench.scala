@@ -47,10 +47,10 @@ class ShapeBench extends AnyFunSuite {
 
   test("shape: pruning is faster") {
     val gt = GraphGen.lfr(3000, 40, 200, 0.4, 20, 1000, seed = 46)
-    val qs = QueryGen.querySets(gt, new GraphCtx(gt.graph), 5, 2, seed = 3)
-    def time(body: => Any): Double = Experiments.timed(body)._2
-    val tp = Metrics.mean(qs.map { case (q, _) => time(Peeler.fpa(gt.graph, q)) })
-    val tn = Metrics.mean(qs.map { case (q, _) => time(Peeler.fpaNoPrune(gt.graph, q)) })
+    val ctx = new GraphCtx(gt.graph)
+    val qs = QueryGen.querySets(gt, ctx, 5, 2, seed = 3)
+    val Seq(tp, tn) =
+      Experiments.evaluate(gt, ctx, Seq(Experiments.fpa, Experiments.fpaNoPrune), qs).map(_.meanMs)
     println(f"pruning: ${tp}%.1f ms vs no-pruning: ${tn}%.1f ms (paper: up to 300x)")
     assert(tp < tn, s"pruned=$tp noprune=$tn")
   }

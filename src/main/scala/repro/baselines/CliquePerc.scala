@@ -10,8 +10,8 @@ import scala.collection.mutable
   */
 object CliquePerc {
 
-  def find(g: LocalGraph, queries: Seq[Int], cliqueCap: Int = 200000): Option[Set[Int]] = {
-    val cliques = GraphAlgos.maximalCliques(g, cliqueCap).toIndexedSeq
+  def find(g: LocalGraph, queries: Seq[Int]): Option[Set[Int]] = {
+    val cliques = GraphAlgos.maximalCliques(g, cap = 200000).toIndexedSeq
     if (cliques.isEmpty) return None
     val maxK = cliques.map(_.length).max
     var k = maxK

@@ -7,7 +7,7 @@ import scala.collection.mutable
   *
   * Exact on small components: k-core reduction, then recursive Stoer–Wagner
   * min-cut splitting until the component containing the queries has edge
-  * connectivity >= k. Components larger than `exactLimit` are accepted after
+  * connectivity >= k. Components larger than 400 nodes are accepted after
   * k-core reduction (dense synthetic components at small k are k-edge-
   * connected in practice; see DESIGN.md §3).
   */
@@ -32,7 +32,7 @@ object KEcc {
     s
   }
 
-  def kecc(g: LocalGraph, queries: Seq[Int], k: Int, exactLimit: Int = 400): Option[Set[Int]] = {
+  def kecc(g: LocalGraph, queries: Seq[Int], k: Int): Option[Set[Int]] = {
     var members = kCoreWithin(g, {
       val all = mutable.BitSet.empty; (0 until g.n).foreach(all += _); all
     }, k)
@@ -43,7 +43,7 @@ object KEcc {
       val comp = g.componentOf(queries.head, members)
       if (!queries.forall(comp)) return None
       if (comp.size < 2) return if (k <= 0) Some(comp.toSet) else None
-      if (comp.size > exactLimit) return Some(comp.toSet) // heuristic accept
+      if (comp.size > 400) return Some(comp.toSet) // heuristic accept
       val (cut, side) = GraphAlgos.stoerWagnerMinCut(g, comp.toArray)
       if (cut >= k) return Some(comp.toSet)
       // split along the cut; keep the side with the first query, re-peel

@@ -11,7 +11,7 @@ import scala.collection.mutable
   */
 object LocalModularity {
 
-  def find(g: LocalGraph, queries: Seq[Int], maxIters: Int = 100000): Option[Set[Int]] = {
+  def find(g: LocalGraph, queries: Seq[Int]): Option[Set[Int]] = {
     val comp = g.componentOf(queries.head)
     if (!queries.forall(comp)) return None
     // start from the queries and their BFS-tree paths to q0, so S is connected
@@ -30,7 +30,7 @@ object LocalModularity {
     val cut = g.cutCheck(s, queries.head)
     var changed = true
     var iters = 0
-    while (changed && iters < maxIters) {
+    while (changed && iters < 100000) {
       changed = false
       iters += 1
       // addition phase: best neighbor by resulting M

@@ -4,19 +4,19 @@ import repro.graph.LocalGraph
 import scala.collection.mutable
 
 /** Wu et al. 2015 query-biased density, reproduced as a greedy node-deletion
-  * peel (DESIGN.md §3): node weights grow as (1/eta)^dist from the queries so
-  * far-away nodes are expensive to keep; the peel repeatedly removes the
-  * non-articulation node with the smallest connectivity-per-weight and
-  * returns the best query-biased-density intermediate.
+  * peel (DESIGN.md §3): node weights grow as (1/eta)^dist = 2^dist from the
+  * queries so far-away nodes are expensive to keep; the peel repeatedly
+  * removes the non-articulation node with the smallest connectivity-per-weight
+  * and returns the best query-biased-density intermediate.
   */
 object QueryBiased {
 
-  def find(g: LocalGraph, queries: Seq[Int], eta: Double = 0.5): Option[Set[Int]] = {
+  def find(g: LocalGraph, queries: Seq[Int]): Option[Set[Int]] = {
     val comp = g.componentOf(queries.head)
     if (!queries.forall(comp)) return None
     val dist = g.bfsDist(queries, comp)
     val weight = new Array[Double](g.n)
-    comp.foreach(v => weight(v) = math.pow(1.0 / eta, math.min(30, dist(v))))
+    comp.foreach(v => weight(v) = math.pow(2.0, math.min(30, dist(v))))
 
     val s = comp.clone()
     val kv = new Array[Int](g.n)

@@ -36,13 +36,13 @@ object Modularity {
     if (kvS == 0) Double.PositiveInfinity else dv.toDouble / kvS
 
   /** Generalized modularity density stand-in (Guo/Singh/Bassler 2020-style):
-    * CM(C) scaled by the community's internal edge density ρ(C)^chi. Used
-    * only as a Fig-12 comparator.
+    * CM(C) scaled by the community's internal edge density ρ(C) (χ = 1).
+    * Used only as a Fig-12 comparator.
     */
-  def gmd(l: Long, d: Long, size: Long, mE: Long, chi: Double = 1.0): Double = {
+  def gmd(l: Long, d: Long, size: Long, mE: Long): Double = {
     if (size <= 1) return cm(l, d, mE) // density of a singleton is undefined; don't scale
     val rho = 2.0 * l / (size.toDouble * (size - 1))
-    cm(l, d, mE) * math.pow(rho, chi)
+    cm(l, d, mE) * rho
   }
 
   /** (l_C, d_C) of a community within g. */
@@ -57,7 +57,7 @@ object Modularity {
     val (l, d) = stats(g, members); cm(l, d, g.m)
   }
 
-  def gmdOf(g: LocalGraph, members: mutable.BitSet, chi: Double = 1.0): Double = {
-    val (l, d) = stats(g, members); gmd(l, d, members.size.toLong, g.m, chi)
+  def gmdOf(g: LocalGraph, members: mutable.BitSet): Double = {
+    val (l, d) = stats(g, members); gmd(l, d, members.size.toLong, g.m)
   }
 }

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines._
-import repro.core.{Modularity, Peeler, SparkDMCS}
+import repro.core.{Peeler, SparkDMCS}
 import repro.graph._
 import scala.collection.mutable
 
@@ -39,19 +39,26 @@ object Experiments {
   private def peelerAlgo(name: String, f: (LocalGraph, Seq[Int]) => Peeler.Result): Algo =
     Algo(name, (ctx, q) => { val r = f(ctx.g, q); if (r.ok) Some(r.community) else None })
 
+  // the algorithms that more than one table runs (ShapeBench times the first two)
+  private[repro] val fpa = peelerAlgo("FPA", (g, q) => Peeler.fpa(g, q))
+  private[repro] val fpaNoPrune = peelerAlgo("FPA-noprune", (g, q) => Peeler.fpaNoPrune(g, q))
+  private val nca = peelerAlgo("NCA", (g, q) => Peeler.nca(g, q))
+  private val kc = Algo("kc", (c, q) => CoreTruss.kc(c, q, 3))
+  private val kecc = Algo("kecc", (c, q) => KEcc.kecc(c.g, q, 3))
+  private val highcore = Algo("highcore", (c, q) => CoreTruss.highcore(c, q))
+
   /** The algorithms reported on the synthetic benchmark (Figs 8/9). */
-  def coreAlgos(k: Int = 3, ktK: Int = 4, includeNca: Boolean = true): Seq[Algo] = {
+  def coreAlgos(includeNca: Boolean = true): Seq[Algo] = {
     val base = Seq(
-      Algo("kc", (c, q) => CoreTruss.kc(c, q, k)),
-      Algo("kt", (c, q) => CoreTruss.kt(c, q, ktK)),
-      Algo("kecc", (c, q) => KEcc.kecc(c.g, q, k)),
-      Algo("highcore", (c, q) => CoreTruss.highcore(c, q)),
+      kc,
+      Algo("kt", (c, q) => CoreTruss.kt(c, q, 4)),
+      kecc,
+      highcore,
       Algo("hightruss", (c, q) => CoreTruss.hightruss(c, q)),
       Algo("wu2015", (c, q) => QueryBiased.find(c.g, q)),
       Algo("huang2015", (c, q) => ClosestTruss.find(c, q)),
-      peelerAlgo("FPA", (g, q) => Peeler.fpa(g, q)),
-    )
-    if (includeNca) base :+ peelerAlgo("NCA", (g, q) => Peeler.nca(g, q)) else base
+      fpa)
+    if (includeNca) base :+ nca else base
   }
 
   /** Extra baselines only run on the small real-world graphs (Figs 15/16). */
@@ -66,24 +73,22 @@ object Experiments {
   }
 
   // ----------------------------------------------------------- evaluation
-  /** `body`'s value and its wall time in milliseconds. */
-  def timed[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1e6)
-  }
-
   final case class EvalRow(algo: String, medNmi: Double, medAri: Double, medF1: Double,
                            meanMs: Double, meanSize: Double, fails: Int)
 
   /** Run `algos` over `querySets`; metrics use the best-matching ground-truth
     * community containing all the queries (paper's protocol for overlapping
-    * ground truth; identical to the planted community when disjoint).
+    * ground truth; identical to the planted community when disjoint). Each
+    * algorithm is first called once, untimed, on the first query set, so
+    * that `meanMs` times neither the JIT nor `ctx`'s lazy decompositions.
+    * This is the one place the tables read the clock.
     */
   def evaluate(gt: GroundTruthGraph, ctx: GraphCtx, algos: Seq[Algo],
                querySets: Seq[(Seq[Int], Set[Int])]): Seq[EvalRow] = {
     val n = gt.graph.n
     algos.map { algo =>
+      def call(q: Seq[Int]) = try algo.run(ctx, q) catch { case _: StackOverflowError => None }
+      querySets.headOption.foreach { case (q, _) => call(q) }
       val nmis = mutable.ArrayBuffer.empty[Double]
       val aris = mutable.ArrayBuffer.empty[Double]
       val f1s = mutable.ArrayBuffer.empty[Double]
@@ -91,8 +96,9 @@ object Experiments {
       val sizes = mutable.ArrayBuffer.empty[Double]
       var fails = 0
       for ((q, ownComm) <- querySets) {
-        val (res, took) = timed(try algo.run(ctx, q) catch { case _: StackOverflowError => None })
-        times += took
+        val t0 = System.nanoTime()
+        val res = call(q)
+        times += (System.nanoTime() - t0) / 1e6
         res match {
           case Some(c) if c.nonEmpty =>
             val cands = {
@@ -182,7 +188,7 @@ object Experiments {
 
   // -------------------------------------------- Figs 8/9: synthetic sweeps
   def syntheticSweep(n: Int = 3000, nQuerySets: Int = 5, qSize: Int = 2,
-                     seed: Long = 42, includeNca: Boolean = true): String = {
+                     seed: Long = 42): String = {
     val settings =
       Seq(0.2, 0.3, 0.4).map(mu => (s"mu=$mu", 40.0, 200, mu)) ++
       Seq(20, 30, 50).map(d => (s"davg=$d", d.toDouble, 200, 0.4)) ++
@@ -193,7 +199,7 @@ object Experiments {
       val gt = GraphGen.lfr(n, davg, dmax, mu, minC = 20, maxC = 1000, seed)
       val ctx = new GraphCtx(gt.graph)
       val qs = QueryGen.querySets(gt, ctx, nQuerySets, qSize, seed + label.hashCode)
-      evaluate(gt, ctx, coreAlgos(includeNca = includeNca), qs)
+      evaluate(gt, ctx, coreAlgos(), qs)
         .foreach(r => allRows += ((label, r)))
     }
     out.append(evalRowsToTable(
@@ -207,15 +213,10 @@ object Experiments {
                    nQuerySets: Int = 5, seed: Long = 43): String = {
     val gt = GraphGen.lfr(n, 40.0, 200, 0.4, 20, 1000, seed)
     val ctx = new GraphCtx(gt.graph)
-    val algos = Seq(
-      Algo("kc", (c, q) => CoreTruss.kc(c, q, 3)),
-      Algo("kecc", (c, q) => KEcc.kecc(c.g, q, 3)),
-      peelerAlgo("NCA", (g, q) => Peeler.nca(g, q)),
-      peelerAlgo("FPA", (g, q) => Peeler.fpa(g, q)))
     val rows = for {
       s <- sizes
       qs = QueryGen.querySets(gt, ctx, nQuerySets, s, seed + s)
-      r <- evaluate(gt, ctx, algos, qs)
+      r <- evaluate(gt, ctx, Seq(kc, kecc, nca, fpa), qs)
     } yield (s"|Q|=$s", r)
     evalRowsToTable(s"Fig 10: effect of |Q| (LFR n=$n)", "|Q|", rows)
   }
@@ -223,49 +224,45 @@ object Experiments {
   // ------------------------------------------------- Fig 11: scalability
   def scalability(spark: SparkSession, sizes: Seq[Int] = Seq(10000, 25000, 50000, 100000),
                   ncaUpTo: Int = 25000, seed: Long = 44): String = {
-    val rows = mutable.ArrayBuffer.empty[Seq[String]]
-    for (n <- sizes) {
+    val rows = sizes.map { n =>
       val gt = GraphGen.lfr(n, 20.0, 200, 0.4, 20, 1000, seed)
       val ctx = new GraphCtx(gt.graph)
       val qs = QueryGen.querySets(gt, ctx, nSets = 2, qSize = 1, seed = seed + n)
-      def time(body: => Any): Double = timed(body)._2
-      ctx.core // warm the decomposition shared by kc/highcore
-      // one untimed call of each local engine, so that no column times the JIT
-      qs.headOption.foreach { case (q, _) =>
-        CoreTruss.kc(ctx, q, 3); CoreTruss.highcore(ctx, q); Peeler.fpa(ctx.g, q)
-        if (n <= ncaUpTo) Peeler.nca(ctx.g, q)
-      }
-      val tKc = Metrics.mean(qs.map { case (q, _) => time(CoreTruss.kc(ctx, q, 3)) })
-      val tHc = Metrics.mean(qs.map { case (q, _) => time(CoreTruss.highcore(ctx, q)) })
-      val tFpa = Metrics.mean(qs.map { case (q, _) => time(Peeler.fpa(ctx.g, q)) })
-      val tNca =
-        if (n <= ncaUpTo) Metrics.mean(qs.map { case (q, _) => time(Peeler.nca(ctx.g, q)) })
-        else Double.NaN
       val edges = GraphFrames.edgeDF(spark, ctx.g).cache()
-      edges.count()
-      val tSpark = Metrics.mean(qs.map { case (q, _) =>
-        time(SparkDMCS.fpa(spark, edges, q.map(_.toLong)))
+      val fpaSpark = Algo("FPA(spark)", (_, q) => {
+        val r = SparkDMCS.fpa(spark, edges, q.map(_.toLong))
+        if (r.ok) Some(r.community.map(_.toInt)) else None
       })
+      val algos = Seq(kc, highcore, fpa) ++ Option.when(n <= ncaUpTo)(nca) :+ fpaSpark
+      val meanMs = evaluate(gt, ctx, algos, qs).map(r => r.algo -> r.meanMs).toMap
       edges.unpersist()
-      rows += Seq(n.toString, ms(tKc), ms(tHc), ms(tFpa), ms(tNca), ms(tSpark))
+      n.toString +: Seq(kc, highcore, fpa, nca, fpaSpark)
+        .map(a => ms(meanMs.getOrElse(a.name, Double.NaN)))
     }
     formatTable("Fig 11: scalability (mean ms per query)",
-      Seq("n", "kc", "highcore", "FPA(local)", "NCA", "FPA(spark)"), rows.toSeq)
+      Seq("n", "kc", "highcore", "FPA(local)", "NCA", "FPA(spark)"), rows)
+  }
+
+  /** `algos` on `nQuerySets` query sets of |Q| = 2 on LFR(n, davg 40, dmax 200,
+    * µ 0.4), the default setting of Figs 12–14, as rows keyed "default".
+    */
+  private def onDefaultLfr(n: Int, nQuerySets: Int, seed: Long,
+                           algos: Seq[Algo]): Seq[(String, EvalRow)] = {
+    val gt = GraphGen.lfr(n, 40.0, 200, 0.4, 20, 1000, seed)
+    val ctx = new GraphCtx(gt.graph)
+    evaluate(gt, ctx, algos, QueryGen.querySets(gt, ctx, nQuerySets, qSize = 2, seed))
+      .map(("default", _))
   }
 
   // ------------------------------------- Fig 12: which modularity to optimize
   def modularityMeasures(n: Int = 3000, nQuerySets: Int = 10, seed: Long = 45): String = {
-    val gt = GraphGen.lfr(n, 40.0, 200, 0.4, 20, 1000, seed)
-    val ctx = new GraphCtx(gt.graph)
-    val qs = QueryGen.querySets(gt, ctx, nQuerySets, qSize = 2, seed)
     // un-pruned FPA: the objective sees the full chain of intermediates, so
     // classic modularity's preference for large communities (resolution
     // limit) is visible, as in the paper
-    val algos = Seq(
+    val rows = onDefaultLfr(n, nQuerySets, seed, Seq(
       peelerAlgo("FPA-DM", (g, q) => Peeler.fpaNoPrune(g, q, Peeler.DmObjective)),
       peelerAlgo("FPA-CM", (g, q) => Peeler.fpaNoPrune(g, q, Peeler.CmObjective)),
-      peelerAlgo("FPA-GMD", (g, q) => Peeler.fpaNoPrune(g, q, Peeler.GmdObjective)))
-    val rows = evaluate(gt, ctx, algos, qs).map(r => ("default", r))
+      peelerAlgo("FPA-GMD", (g, q) => Peeler.fpaNoPrune(g, q, Peeler.GmdObjective))))
     val sizeDm = rows.find(_._2.algo == "FPA-DM").map(_._2.meanSize).getOrElse(Double.NaN)
     val sizeCm = rows.find(_._2.algo == "FPA-CM").map(_._2.meanSize).getOrElse(Double.NaN)
     evalRowsToTable("Fig 12: objective used to select the best subgraph", "setting", rows) +
@@ -273,34 +270,24 @@ object Experiments {
   }
 
   // ----------------------------------------------- Fig 13: pruning strategy
-  def pruning(n: Int = 3000, nQuerySets: Int = 10, seed: Long = 46): String = {
-    val gt = GraphGen.lfr(n, 40.0, 200, 0.4, 20, 1000, seed)
-    val ctx = new GraphCtx(gt.graph)
-    val qs = QueryGen.querySets(gt, ctx, nQuerySets, qSize = 2, seed)
-    val algos = Seq(
-      peelerAlgo("FPA", (g, q) => Peeler.fpa(g, q)),
-      peelerAlgo("FPA-noprune", (g, q) => Peeler.fpaNoPrune(g, q)))
+  def pruning(n: Int = 3000, nQuerySets: Int = 10, seed: Long = 46): String =
     evalRowsToTable("Fig 13: layer-based pruning", "setting",
-      evaluate(gt, ctx, algos, qs).map(("default", _)))
-  }
+      onDefaultLfr(n, nQuerySets, seed, Seq(fpa, fpaNoPrune)))
 
   // -------------------------------------------------- Fig 14: variants
   def variants(n: Int = 3000, nQuerySets: Int = 5, seed: Long = 47): String = {
-    val gt = GraphGen.lfr(n, 40.0, 200, 0.4, 20, 1000, seed)
-    val ctx = new GraphCtx(gt.graph)
-    val qs = QueryGen.querySets(gt, ctx, nQuerySets, qSize = 2, seed)
     val algos = Seq(
-      peelerAlgo("NCA", (g, q) => Peeler.nca(g, q)),
+      nca,
       peelerAlgo("NCA-DR", (g, q) => Peeler.ncaDR(g, q)),
       peelerAlgo("FPA-DMG", (g, q) => Peeler.fpaDMG(g, q)),
-      peelerAlgo("FPA", (g, q) => Peeler.fpa(g, q)),
+      fpa,
       // no-pruning versions expose the cost of Λ's instability (the paper's
       // 150x gap): with pruning the candidate layer is tiny and hides it
       peelerAlgo("FPA-DMG-np", (g, q) =>
         Peeler.run(g, q, Peeler.FarthestLayer, Peeler.DMGain, layerPrune = false)),
-      peelerAlgo("FPA-np", (g, q) => Peeler.fpaNoPrune(g, q)))
+      fpaNoPrune.copy(name = "FPA-np"))
     evalRowsToTable("Fig 14: variants (a/b x c/d)", "setting",
-      evaluate(gt, ctx, algos, qs).map(("default", _)))
+      onDefaultLfr(n, nQuerySets, seed, algos))
   }
 
   // ------------------------------------- Figs 15/16: small real-world graphs
@@ -352,8 +339,7 @@ object Experiments {
           Algo(s"kt(k=$k)", (c, q) => CoreTruss.kt(c, q, k)))
         evaluate(gt, ctx, algos, qs).foreach(r => rows += ((gt.name, r)))
       }
-      evaluate(gt, ctx, Seq(peelerAlgo("FPA", (g, q) => Peeler.fpa(g, q))), qs)
-        .foreach(r => rows += ((gt.name, r)))
+      evaluate(gt, ctx, Seq(fpa), qs).foreach(r => rows += ((gt.name, r)))
     }
     evalRowsToTable("Fig 19: effect of the user parameter k", "dataset", rows.toSeq)
   }

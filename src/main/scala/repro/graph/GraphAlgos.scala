@@ -250,14 +250,15 @@ object GraphAlgos {
 object Centrality {
   import scala.collection.mutable
 
-  /** Eigenvector centrality by power iteration restricted to `members`.
-    * Iterates on (A + I) so bipartite subgraphs (eigenvalues ±λ) converge.
+  /** Eigenvector centrality by 100 rounds of power iteration restricted to
+    * `members`. Iterates on (A + I) so bipartite subgraphs (eigenvalues ±λ)
+    * converge.
     */
-  def eigen(g: LocalGraph, members: mutable.BitSet, iters: Int = 100): mutable.HashMap[Int, Double] = {
+  def eigen(g: LocalGraph, members: mutable.BitSet): mutable.HashMap[Int, Double] = {
     val x = mutable.HashMap.empty[Int, Double]
     members.foreach(v => x(v) = 1.0)
     var it = 0
-    while (it < iters) {
+    while (it < 100) {
       val y = mutable.HashMap.empty[Int, Double]
       members.foreach { v =>
         var s = x(v)

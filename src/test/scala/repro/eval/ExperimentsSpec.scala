@@ -61,6 +61,16 @@ class ExperimentsSpec extends SparkSpec {
     assert(t.contains("FPA(spark)"))
   }
 
+  test("evaluate makes one untimed call before timing each query set") {
+    val gt = repro.graph.GraphGen.karate
+    val ctx = new repro.baselines.GraphCtx(gt.graph)
+    var calls = 0
+    val counting = Experiments.Algo("counting", (_, q) => { calls += 1; Some(q.toSet) })
+    val querySets = Seq(0, 33).map(v => (Seq(v), gt.communities.find(_.contains(v)).get))
+    val rows = Experiments.evaluate(gt, ctx, Seq(counting), querySets)
+    assert(calls == 3 && rows.head.fails == 0)
+  }
+
   test("evaluate counts failures") {
     val gt = repro.graph.GraphGen.karate
     val ctx = new repro.baselines.GraphCtx(gt.graph)
