@@ -227,7 +227,7 @@ object Experiments {
     val rows = sizes.map { n =>
       val gt = GraphGen.lfr(n, 20.0, 200, 0.4, 20, 1000, seed)
       val ctx = new GraphCtx(gt.graph)
-      val qs = QueryGen.querySets(gt, ctx, nSets = 2, qSize = 1, seed = seed + n)
+      val qs = QueryGen.querySets(gt, ctx, nSets = 8, qSize = 1, seed = seed + n)
       val edges = GraphFrames.edgeDF(spark, ctx.g).cache()
       val fpaSpark = Algo("FPA(spark)", (_, q) => {
         val r = SparkDMCS.fpa(spark, edges, q.map(_.toLong))

@@ -1,5 +1,7 @@
 package repro.graph
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import repro.SparkSpec
 
 /** Every Spark primitive used by the distributed pipeline is checked against
@@ -9,10 +11,24 @@ class GraphFramesSpec extends SparkSpec {
 
   private lazy val karate = GraphGen.karate.graph
   private lazy val edges = GraphFrames.edgeDF(spark, karate).cache()
-  private lazy val sym = GraphFrames.symmetrize(edges).cache()
+  private lazy val adj = GraphFrames.adjacency(edges).cache()
   private lazy val path = LocalGraph.fromEdges(70, (0 until 69).map(i => (i, i + 1)))
 
-  private def symOf(g: LocalGraph) = GraphFrames.symmetrize(GraphFrames.edgeDF(spark, g))
+  private def adjOf(g: LocalGraph) = GraphFrames.adjacency(GraphFrames.edgeDF(spark, g))
+
+  /** The directed (node, neighbour) pairs of all blocks, after checking that
+    * every block's ids and rows are sorted and distinct.
+    */
+  private def pairsOf(a: RDD[GraphFrames.Block]): Seq[(Long, Long)] =
+    a.collect().toSeq.flatMap { b =>
+      def increasing(xs: Seq[Long]) = xs.zip(xs.drop(1)).forall { case (x, y) => x < y }
+      assert(increasing(b.ids.toSeq) && b.off.length == b.ids.length + 1)
+      b.ids.indices.flatMap { i =>
+        val row = b.nbr.slice(b.off(i), b.off(i + 1)).toSeq
+        assert(row.nonEmpty && increasing(row), s"row of ${b.ids(i)}")
+        row.map(b.ids(i) -> _)
+      }
+    }
 
   /** Distance and parent of every node as `LocalGraph` reports them, -1 when
     * the BFS did not reach it.
@@ -22,7 +38,7 @@ class GraphFramesSpec extends SparkSpec {
     (0 until g.n).map(v => (dist.getOrElse(v.toLong, -1), bfs.parent.getOrElse(v.toLong, -1L)))
   }
   private def assertSameBfs(g: LocalGraph, source: Int): Unit = {
-    val got = distParent(g, GraphFrames.bfsDist(symOf(g), Seq(source.toLong)))
+    val got = distParent(g, GraphFrames.bfsDist(adjOf(g), Seq(source.toLong)))
     val want = g.bfsDist(Seq(source)).zip(g.bfsParents(source).map(_.toLong))
     (0 until g.n).foreach(v => assert(got(v) == want(v), s"node $v"))
   }
@@ -33,29 +49,47 @@ class GraphFramesSpec extends SparkSpec {
     assert(rows.forall(r => r.getLong(0) < r.getLong(1)))
   }
 
-  test("symmetrize doubles the edges") {
-    assert(sym.count() == 156)
+  test("edgeDF's plan reads an RDD, not local rows, on an LFR graph") {
+    val g = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = 2).graph
+    val df = GraphFrames.edgeDF(spark, g)
+    assert(df.queryExecution.analyzed.collectFirst { case r: LocalRelation => r }.isEmpty)
+    val rows = df.collect().map(r => (r.getLong(0), r.getLong(1)))
+    assert(rows.forall { case (u, v) => u < v })
+    assert(rows.length == g.m && rows.toSet == g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toSet)
   }
 
-  test("symmetrize normalises self-loops, duplicates and both orientations") {
+  test("adjacency blocks hold every edge in both rows, once") {
+    val pairs = pairsOf(adj)
+    assert(pairs.length == 156 && GraphFrames.edgeCount(adj) == 78)
+    assert(pairs.toSet == karate.edges.flatMap { case (u, v) => Seq((u.toLong, v.toLong), (v.toLong, u.toLong)) }.toSet)
+  }
+
+  test("adjacency normalises self-loops, duplicates and both orientations") {
     import spark.implicits._
-    val es = karate.edges.toSeq
-    val dirty = es ++ es.take(20).map(_.swap) ++ es.take(5) ++ Seq((3, 3), (7, 7))
-    val got = GraphFrames.symmetrize(dirty.toDF("src", "dst")).collect().toSet
-    assert(got == (es ++ es.map(_.swap)).map { case (u, v) => (u.toLong, v.toLong) }.toSet)
-    assert(got.size == 156)
+    val es = karate.edges.map { case (u, v) => (u.toLong, v.toLong) }.toSeq
+    // each slice is one input partition, so the copies of an edge, and its
+    // self-loop neighbours, start in different partitions
+    val slices = Seq(es, es.take(20).map(_.swap) ++ Seq((3L, 3L)), es.take(20) ++ Seq((7L, 7L)),
+      es.take(5).map(_.swap) ++ Seq((3L, 3L), (33L, 33L)))
+    val dirty = spark.sparkContext.parallelize(slices, 4).flatMap(identity).toDF("src", "dst")
+    assert(dirty.rdd.getNumPartitions == 4)
+    val a = GraphFrames.adjacency(dirty).cache()
+    val pairs = pairsOf(a)
+    assert(pairs.length == 156 && GraphFrames.edgeCount(a) == 78)
+    assert(pairs.toSet == (es ++ es.map(_.swap)).toSet)
+    a.unpersist()
   }
 
   test("degrees match LocalGraph degrees") {
     val all = Array.range(0, karate.n).map(_.toLong)
-    val (deg, es) = GraphFrames.induced(sym, all)
+    val (deg, es) = GraphFrames.induced(adj, all)
     assert(deg.toSeq == karate.degree.toSeq)
     assert(es.toSet == karate.edges.toSet)
   }
 
   test("induced keeps only the edges inside the node set") {
     val nodes = Array(0L, 1L, 2L, 3L, 33L)
-    val (deg, es) = GraphFrames.induced(sym, nodes)
+    val (deg, es) = GraphFrames.induced(adj, nodes)
     assert(deg.toSeq == nodes.map(v => karate.degree(v.toInt)).toSeq)
     val want = for (i <- nodes.indices; j <- nodes.indices
                     if i < j && karate.hasEdge(nodes(i).toInt, nodes(j).toInt)) yield (i, j)
@@ -67,7 +101,7 @@ class GraphFramesSpec extends SparkSpec {
   }
 
   test("bfsDist multi-source matches LocalGraph") {
-    val bfs = GraphFrames.bfsDist(sym, Seq(0L, 33L))
+    val bfs = GraphFrames.bfsDist(adj, Seq(0L, 33L))
     val want = karate.bfsDist(Seq(0, 33))
     assert(distParent(karate, bfs).map(_._1) == want.toSeq)
     assert(bfs.layers.forall(l => l.toSeq == l.sorted.toSeq))
@@ -76,24 +110,25 @@ class GraphFramesSpec extends SparkSpec {
   test("bfsDist covers only the source component") {
     val g = LocalGraph.fromEdges(9, Seq((0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (6, 7), (7, 8)))
     Seq(0, 3, 5, 8).foreach(s => assertSameBfs(g, s))
-    assert(GraphFrames.bfsDist(symOf(g), Seq(0L)).ids.toSet == Set(0L, 1L, 2L, 3L))
+    assert(GraphFrames.bfsDist(adjOf(g), Seq(0L)).ids.toSet == Set(0L, 1L, 2L, 3L))
   }
 
   test("bfsDist runs until the frontier is empty (70-node path)") {
-    val bfs = GraphFrames.bfsDist(symOf(path), Seq(0L))
+    val bfs = GraphFrames.bfsDist(adjOf(path), Seq(0L))
     assert(bfs.ids.length == 70)
     assert(bfs.layers.length == 70)
     assertSameBfs(path, 0)
   }
 
   test("bfsDist with targets stops after the farthest target's layer (70-node path)") {
-    val bfs = GraphFrames.bfsDist(symOf(path), Seq(0L), Seq(2L))
+    val bfs = GraphFrames.bfsDist(adjOf(path), Seq(0L), Seq(2L))
     assert(bfs.layers.map(_.toSeq) == Seq(Seq(0L), Seq(1L), Seq(2L)))
+    assert(bfs.sumDeg.toSeq == Seq(1L, 2L) && bfs.nEdges.toSeq == Seq(0L, 1L)) // layer 2 not expanded
   }
 
   test("bfsDist with targets gives the parents of LocalGraph.bfsParentsTo") {
     val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 60, seed = 3)
-    val s = symOf(gt.graph).cache()
+    val s = adjOf(gt.graph).cache()
     for (targets <- Seq(Seq(5), Seq(17, 250), Seq(40, 41, 42, 299))) {
       val bfs = GraphFrames.bfsDist(s, Seq(0L), targets.map(_.toLong))
       val want = gt.graph.bfsParentsTo(0, targets).get
@@ -108,41 +143,37 @@ class GraphFramesSpec extends SparkSpec {
 
   test("bfsDist with an unreachable target runs to the end without it") {
     val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4)))
-    val bfs = GraphFrames.bfsDist(symOf(g), Seq(0L), Seq(2L, 3L))
+    val bfs = GraphFrames.bfsDist(adjOf(g), Seq(0L), Seq(2L, 3L))
     assert(bfs.ids.toSeq == Seq(0L, 1L, 2L))
     assert(!bfs.parent.contains(3L))
   }
 
-  test("layerStats equals LocalGraph.bfsLayers on seeded LFR graphs") {
+  test("bfsDist layer stats equal LocalGraph.bfsLayers on LFR graphs") {
     for (seed <- 1 to 4) {
       val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 80, seed = seed)
-      val s = symOf(gt.graph).cache()
+      val s = adjOf(gt.graph).cache()
       for (sources <- Seq(Seq(0), Seq(7, 123), Seq(1, 2, 3, 299))) {
         val bfs = GraphFrames.bfsDist(s, sources.map(_.toLong))
-        val (sumDeg, nEdges) = GraphFrames.layerStats(s, bfs)
         val want = gt.graph.bfsLayers(sources)
         val ctx = s"seed $seed sources $sources"
         assert(bfs.layers.map(_.length.toLong) == want.nNodes.toSeq, ctx)
-        assert(sumDeg.toSeq == want.sumDeg.toSeq, ctx)
-        assert(nEdges.toSeq == want.nEdges.toSeq, ctx)
+        assert(bfs.sumDeg.toSeq == want.sumDeg.toSeq, ctx)
+        assert(bfs.nEdges.toSeq == want.nEdges.toSeq, ctx)
       }
       s.unpersist()
     }
   }
 
-  test("layerStats drops edges with an unreached endpoint") {
+  test("bfsDist layer stats drop edges with an unreached endpoint") {
     val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (3, 4)))
-    val s = symOf(g)
-    val (sumDeg, nEdges) = GraphFrames.layerStats(s, GraphFrames.bfsDist(s, Seq(0L)))
-    assert(nEdges.sum == 2) // edge (3,4) excluded
-    assert(sumDeg.sum == 4)
+    val bfs = GraphFrames.bfsDist(adjOf(g), Seq(0L))
+    assert(bfs.nEdges.sum == 2) // edge (3,4) excluded
+    assert(bfs.sumDeg.sum == 4)
   }
 
   test("layer edge totals equal |E| of the component") {
     val gt = GraphGen.lfr(300, 10, 40, 0.3, 20, 80, seed = 6)
-    val s = symOf(gt.graph)
     val comp = gt.graph.componentOf(0)
-    val (_, nEdges) = GraphFrames.layerStats(s, GraphFrames.bfsDist(s, Seq(0L)))
-    assert(nEdges.sum == gt.graph.edgeCount(comp))
+    assert(GraphFrames.bfsDist(adjOf(gt.graph), Seq(0L)).nEdges.sum == gt.graph.edgeCount(comp))
   }
 }
